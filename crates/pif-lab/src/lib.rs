@@ -99,9 +99,6 @@ pub use scale::Scale;
 pub use service::{default_threads, LatencySummary, MetricsFormat, Pool, PoolRunStats};
 pub use spec::{CdfKind, Measure, ParamAxis, PrefetcherKind, SweepSpec};
 
-#[doc(hidden)]
-pub use measure::jobs_executed;
-
 /// How to execute a sweep: scale, parallelism, smoke flag, and an
 /// optional result cache.
 ///
@@ -335,45 +332,58 @@ fn run_spec_impl(
     }
     let cached_cells = coords.len() - missing.len();
 
+    // Engine cells run as one job per (workload, axis point) group; every
+    // other measure runs one job per cell.
+    let jobs = measure::group_jobs(spec, &missing);
     // Two-level parallelism without oversubscription: when the grid has
-    // enough cells to keep every worker busy, cells run on the outer pool
+    // enough jobs to keep every worker busy, jobs run on the outer pool
     // and each cell's sampled windows run serially; a sparse grid (fewer
-    // cells than threads) instead hands the whole thread budget to each
+    // jobs than threads) instead hands the whole thread budget to each
     // cell's window fan-out.
-    let inner = Pool::new(if missing.len() >= opts.threads {
+    let inner = Pool::new(if jobs.len() >= opts.threads {
         1
     } else {
         opts.threads
     });
-    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(missing.len(), |i| {
+    let ctx = measure::JobContext {
+        spec,
+        scale,
+        workloads: &workloads,
+        traces: &traces,
+        pool: &inner,
+    };
+    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(jobs.len(), |i| {
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
         let started = want_profile.then(std::time::Instant::now);
-        let cell = measure::run_job(spec, scale, &workloads, &traces, missing[i], &inner);
-        // Sub-microsecond cells (release builds at tiny scale) round up
-        // to 1 so an executed cell is never recorded as untimed.
+        let cells = measure::run_job(&ctx, &jobs[i]);
         let exec_us = started
-            .map(|t| service::duration_us(t.elapsed()).max(1))
-            .unwrap_or(0);
-        (cell, exec_us)
+            .map(|t| split_exec_us(service::duration_us(t.elapsed()), cells.len()))
+            .unwrap_or_default();
+        (cells, exec_us)
     });
-    let executed_cells = fresh.len();
-    for (coord, (cell, exec_us)) in missing.iter().zip(fresh) {
-        exec_us_by_index[coord.index] = exec_us;
-        // Stored pre-derive: `derive_speedups` is a cross-cell merge pass
-        // and is recomputed on every run, cached or not.
-        if let Some(cache) = opts.cache {
-            // A failed store (disk full, EIO) degrades to running
-            // uncached: the sweep still completes with the fresh cell.
-            if let Err(e) = cache.store(&cell_key(*coord), &cell.metrics) {
-                pif_obs::log::warn(
-                    "pif_lab",
-                    "cache store failed; running uncached",
-                    &[("spec", &spec.name), ("error", &e)],
-                );
+    let mut executed_cells = 0;
+    for (job, (job_cells, exec_us)) in jobs.iter().zip(fresh) {
+        executed_cells += job_cells.len();
+        for (k, (coord, cell)) in job.iter().zip(job_cells).enumerate() {
+            if want_profile {
+                exec_us_by_index[coord.index] = exec_us[k];
             }
+            // Stored pre-derive: `derive_speedups` is a cross-cell merge
+            // pass and is recomputed on every run, cached or not.
+            if let Some(cache) = opts.cache {
+                // A failed store (disk full, EIO) degrades to running
+                // uncached: the sweep still completes with the fresh cell.
+                if let Err(e) = cache.store(&cell_key(*coord), &cell.metrics) {
+                    pif_obs::log::warn(
+                        "pif_lab",
+                        "cache store failed; running uncached",
+                        &[("spec", &spec.name), ("error", &e)],
+                    );
+                }
+            }
+            cells[coord.index] = Some(cell);
         }
-        cells[coord.index] = Some(cell);
     }
     let mut cells: Vec<Cell> = cells
         .into_iter()
@@ -419,6 +429,18 @@ fn run_spec_impl(
         },
         profile,
     )
+}
+
+/// Charges each of a job's `cells` an equal share of its `total_us`
+/// wall-clock microseconds, remainder to the first cells, so the shares
+/// sum to the job's time. Every share is at least 1: a sub-microsecond
+/// cell (release builds at tiny scale) is never recorded as untimed.
+fn split_exec_us(total_us: u64, cells: usize) -> Vec<u64> {
+    let n = cells as u64;
+    let total = total_us.max(n);
+    (0..n)
+        .map(|k| total / n + u64::from(k < total % n))
+        .collect()
 }
 
 /// Post-merge derived metrics: UIPC speedup of every engine (or sampled,
@@ -526,6 +548,20 @@ mod tests {
             .scale(Scale::tiny())
             .threads(threads)
             .smoke(smoke)
+    }
+
+    #[test]
+    fn split_exec_us_shares_sum_to_the_job_time() {
+        assert_eq!(split_exec_us(10, 1), vec![10]);
+        assert_eq!(split_exec_us(17, 5), vec![4, 4, 3, 3, 3]);
+        // Sub-microsecond jobs still charge every cell.
+        assert_eq!(split_exec_us(0, 3), vec![1, 1, 1]);
+        for (total, n) in [(1_000_003u64, 5usize), (7, 7), (123, 2)] {
+            let shares = split_exec_us(total, n);
+            assert_eq!(shares.len(), n);
+            assert_eq!(shares.iter().sum::<u64>(), total);
+            assert!(shares.iter().all(|&s| s >= 1));
+        }
     }
 
     #[test]

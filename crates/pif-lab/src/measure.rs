@@ -2,17 +2,24 @@
 //! metrics.
 //!
 //! Every driver derives its trace from the job's workload via
-//! [`WorkloadProfile::stream_with_execution_seed`] /
+//! [`WorkloadProfile::generate_with_execution_seed_into`] /
 //! `generate_with_execution_seed`, so a cell's result depends only on
 //! (spec, scale, seed) — never on which worker thread ran it or when.
-//! Engine cells stream (no trace materialization); analysis and sampled
-//! cells need random access into a slice, so the generated trace is
-//! memoized per workload and shared across the parameter axis instead of
-//! regenerated per cell.
+//!
+//! Engine cells run one job per (workload, axis point): the workload is
+//! generated inline on the job's own thread, and every retired
+//! instruction is pushed once through one shared front end into one
+//! engine lane per prefetcher of the group that still needs simulating
+//! (see [`pif_sim::LaneBank`]). The trace is never materialized, sent
+//! through a channel, or regenerated per prefetcher. Analysis and
+//! sampled cells need random access into a slice, so the generated
+//! trace is memoized per workload and shared across the parameter axis
+//! instead of regenerated per cell.
 //!
 //! Recorded workloads ([`crate::recorded`]) have no generator at all:
 //! `run_spec_impl` pre-seeds the per-workload memo with the loaded trace,
-//! and every measure — engine cells included — consumes the memo.
+//! and every measure consumes the memo — an engine group replays it once
+//! for all of its lanes.
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
 use pif_core::analysis::{analyze_regions, PifAnalyzer};
@@ -20,11 +27,12 @@ use pif_core::Pif;
 use pif_sim::predictor_eval::{evaluate_stream_coverage_warmup, TemporalPredictorConfig};
 use pif_sim::prefetch::Prefetcher;
 use pif_sim::sampling::{SampledRunReport, SamplingPlan, WarmStrategy};
-use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions, RunReport};
+use pif_sim::{
+    Engine, EngineConfig, EngineRun, EventSink, LaneBank, NoPrefetcher, RunOptions, RunReport,
+};
 use pif_types::{RegionGeometry, TrapLevel};
 use pif_workloads::{Trace, WorkloadProfile};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::registry::{
@@ -67,17 +75,6 @@ pub fn runs_metric(lo: u32, hi: u32) -> String {
     format!("runs_{lo}_{hi}")
 }
 
-/// Process-wide count of cells actually simulated (not cache replays).
-static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of grid cells executed by [`run_job`] since process
-/// start. A cache replay does not increment it, which is what lets
-/// `tests/cache.rs` prove a warm-cache sweep runs zero engine jobs.
-#[doc(hidden)]
-pub fn jobs_executed() -> u64 {
-    JOBS_EXECUTED.load(Ordering::Relaxed)
-}
-
 /// One workload of the expanded grid: its stable report name plus, for
 /// synthetic workloads, the generating profile. Recorded workloads carry
 /// no profile — their traces are pre-seeded into the per-workload memo
@@ -88,63 +85,226 @@ pub(crate) struct JobWorkload {
     pub profile: Option<WorkloadProfile>,
 }
 
-/// Runs one grid cell and returns it (without cross-cell derived
-/// metrics — see [`crate::run_spec`] for the merge pass).
-pub(crate) fn run_job(
-    spec: &SweepSpec,
-    scale: &Scale,
-    workloads: &[JobWorkload],
-    traces: &[OnceLock<Trace>],
-    coord: JobCoord,
-    pool: &Pool,
-) -> Cell {
-    JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
-    let workload = &workloads[coord.workload];
-    // Memoized per-workload trace for the slice-consuming analysis
-    // measures: generated once per (workload, seed), shared across axis
-    // points. `get_or_init` blocks concurrent initializers, so exactly
-    // one job pays the generation cost. Recorded workloads arrive
-    // pre-seeded, so the generating closure never runs for them.
-    let trace = || {
-        traces[coord.workload].get_or_init(|| {
-            workload
+/// Splits a sweep's missing cells into pool jobs: one per (workload,
+/// axis point) for [`Measure::Engine`], whose cells share a trace and a
+/// front end, and one per cell for every other measure. Cells keep grid
+/// order within a job, and jobs are ordered by their first cell.
+pub(crate) fn group_jobs(spec: &SweepSpec, missing: &[JobCoord]) -> Vec<Vec<JobCoord>> {
+    if !matches!(spec.measure, Measure::Engine) {
+        return missing.iter().map(|&c| vec![c]).collect();
+    }
+    let mut groups: Vec<Vec<JobCoord>> = Vec::new();
+    for &coord in missing {
+        match groups
+            .iter_mut()
+            .find(|g| (g[0].workload, g[0].point) == (coord.workload, coord.point))
+        {
+            Some(group) => group.push(coord),
+            None => groups.push(vec![coord]),
+        }
+    }
+    groups
+}
+
+/// The per-run inputs every driver shares.
+pub(crate) struct JobContext<'a> {
+    pub spec: &'a SweepSpec,
+    pub scale: &'a Scale,
+    pub workloads: &'a [JobWorkload],
+    pub traces: &'a [OnceLock<Trace>],
+    pub pool: &'a Pool,
+}
+
+impl JobContext<'_> {
+    /// Memoized per-workload trace for the slice-consuming measures:
+    /// generated once per (workload, seed), shared across axis points.
+    /// `get_or_init` blocks concurrent initializers, so exactly one job
+    /// pays the generation cost. Recorded workloads arrive pre-seeded,
+    /// so the generating closure never runs for them.
+    fn trace(&self, workload: usize) -> &Trace {
+        self.traces[workload].get_or_init(|| {
+            self.workloads[workload]
                 .profile
                 .as_ref()
                 .expect("recorded traces are pre-seeded by run_spec_impl")
-                .generate_with_execution_seed(scale.instructions, spec.seed_offset)
+                .generate_with_execution_seed(self.scale.instructions, self.spec.seed_offset)
         })
-    };
-    let mut pif = spec.pif_base;
-    let mut engine_cfg = spec.engine_base;
-    spec.axis.apply(coord.point, &mut pif, &mut engine_cfg);
-    let warmup = scale.warmup_instrs();
+    }
 
-    let mut cell = Cell {
-        index: coord.index,
-        workload: workload.name.clone(),
-        prefetcher: coord.prefetcher.map(PrefetcherKind::label),
-        point: spec.axis.label(coord.point),
-        metrics: Vec::new(),
+    /// The (PIF, engine) configuration at axis point `point`.
+    fn configs(&self, point: usize) -> (pif_core::PifConfig, EngineConfig) {
+        let mut pif = self.spec.pif_base;
+        let mut engine_cfg = self.spec.engine_base;
+        self.spec.axis.apply(point, &mut pif, &mut engine_cfg);
+        (pif, engine_cfg)
+    }
+
+    /// An empty cell for `coord`.
+    fn cell(&self, coord: JobCoord) -> Cell {
+        Cell {
+            index: coord.index,
+            workload: self.workloads[coord.workload].name.clone(),
+            prefetcher: coord.prefetcher.map(PrefetcherKind::label),
+            point: self.spec.axis.label(coord.point),
+            metrics: Vec::new(),
+        }
+    }
+
+    /// Pushes `workload`'s trace through `run` once and finishes it:
+    /// synthetic workloads are generated inline on this thread, recorded
+    /// ones replay the pre-seeded memo.
+    fn drive<K: EventSink>(&self, workload: usize, mut run: EngineRun<'_, K>) -> K::Report {
+        match &self.workloads[workload].profile {
+            Some(profile) => profile.generate_with_execution_seed_into(
+                self.scale.instructions,
+                self.spec.seed_offset,
+                |instr| run.push(instr),
+            ),
+            None => {
+                for &instr in self.trace(workload).instrs() {
+                    run.push(instr);
+                }
+            }
+        }
+        run.finish()
+    }
+}
+
+/// Runs one pool job from [`group_jobs`] and returns its cells in job
+/// order (without cross-cell derived metrics — see [`crate::run_spec`]
+/// for the merge pass).
+pub(crate) fn run_job(ctx: &JobContext<'_>, job: &[JobCoord]) -> Vec<Cell> {
+    match ctx.spec.measure {
+        Measure::Engine => run_engine_group(ctx, job),
+        _ => job.iter().map(|&coord| run_cell(ctx, coord)).collect(),
+    }
+}
+
+/// Simulates one (workload, axis point) group of engine cells: one
+/// generation and one front end feed every cell's prefetcher. A group of
+/// one runs its prefetcher directly, without the lanes' event batches.
+fn run_engine_group(ctx: &JobContext<'_>, group: &[JobCoord]) -> Vec<Cell> {
+    let first = group[0];
+    let (pif, engine_cfg) = ctx.configs(first.point);
+    let engine = Engine::new(engine_cfg);
+    let options = || RunOptions::new().warmup(ctx.scale.warmup_instrs());
+    let kind = |coord: &JobCoord| coord.prefetcher.unwrap_or(PrefetcherKind::None);
+    let reports = if let [coord] = group {
+        vec![with_prefetcher(
+            kind(coord),
+            pif,
+            SingleRun {
+                ctx,
+                engine: &engine,
+                workload: first.workload,
+                options: options(),
+            },
+        )]
+    } else {
+        let mut lanes = engine.lanes();
+        for coord in group {
+            with_prefetcher(kind(coord), pif, AddLane(&mut lanes));
+        }
+        ctx.drive(first.workload, engine.start(lanes, options()))
     };
+    group
+        .iter()
+        .zip(&reports)
+        .map(|(&coord, report)| {
+            let mut cell = ctx.cell(coord);
+            engine_metrics(&mut cell, report);
+            cell
+        })
+        .collect()
+}
+
+/// Code generic over the prefetcher a [`PrefetcherKind`] names — the
+/// one place kinds map to types (see [`with_prefetcher`]).
+trait WithPrefetcher {
+    type Out;
+    /// Runs with `mk` constructing fresh instances of the prefetcher.
+    fn call<P: Prefetcher + 'static>(self, mk: impl Fn() -> P + Sync) -> Self::Out;
+}
+
+fn with_prefetcher<W: WithPrefetcher>(
+    kind: PrefetcherKind,
+    pif: pif_core::PifConfig,
+    w: W,
+) -> W::Out {
+    match kind {
+        PrefetcherKind::None => w.call(|| NoPrefetcher),
+        PrefetcherKind::NextLine => w.call(NextLinePrefetcher::aggressive),
+        PrefetcherKind::Tifs => w.call(|| Tifs::new(Default::default())),
+        PrefetcherKind::TifsUnbounded => w.call(Tifs::unbounded),
+        PrefetcherKind::Discontinuity => w.call(DiscontinuityPrefetcher::paper_scale),
+        PrefetcherKind::Pif => w.call(move || Pif::new(pif)),
+        PrefetcherKind::Perfect => w.call(|| PerfectICache),
+    }
+}
+
+/// Adds one lane to an engine group's [`LaneBank`].
+struct AddLane<'b, 'a>(&'b mut LaneBank<'a>);
+
+impl WithPrefetcher for AddLane<'_, '_> {
+    type Out = ();
+    fn call<P: Prefetcher + 'static>(self, mk: impl Fn() -> P + Sync) {
+        self.0.add(mk());
+    }
+}
+
+/// An engine group of one cell: direct dispatch, no lane batches.
+struct SingleRun<'c, 'a> {
+    ctx: &'c JobContext<'a>,
+    engine: &'c Engine,
+    workload: usize,
+    options: RunOptions<'static>,
+}
+
+impl WithPrefetcher for SingleRun<'_, '_> {
+    type Out = RunReport;
+    fn call<P: Prefetcher + 'static>(self, mk: impl Fn() -> P + Sync) -> RunReport {
+        let run = self.engine.start(self.engine.state(mk()), self.options);
+        self.ctx.drive(self.workload, run)
+    }
+}
+
+/// One sampled cell run: windows over the memoized workload trace, fanned
+/// out on `pool`. The cell's plan uses per-window warming, so `mk` builds
+/// one fresh prefetcher per window and the merged report is byte-identical
+/// for every worker count (see [`crate::sampled`]).
+struct SampledRun<'c> {
+    engine_cfg: &'c EngineConfig,
+    plan: &'c SamplingPlan,
+    trace: &'c Trace,
+    pool: &'c Pool,
+}
+
+impl WithPrefetcher for SampledRun<'_> {
+    type Out = SampledRunReport;
+    fn call<P: Prefetcher + 'static>(self, mk: impl Fn() -> P + Sync) -> SampledRunReport {
+        let trace = self.trace;
+        run_sampled_parallel(
+            self.engine_cfg,
+            self.plan,
+            trace.len() as u64,
+            |w| trace.instrs()[w.warmup_start as usize..].iter().copied(),
+            |_| mk(),
+            self.pool,
+        )
+    }
+}
+
+/// Runs one non-engine grid cell.
+fn run_cell(ctx: &JobContext<'_>, coord: JobCoord) -> Cell {
+    let (spec, scale) = (ctx.spec, ctx.scale);
+    let workload = &ctx.workloads[coord.workload];
+    let trace = || ctx.trace(coord.workload);
+    let (pif, engine_cfg) = ctx.configs(coord.point);
+    let warmup = scale.warmup_instrs();
+    let mut cell = ctx.cell(coord);
 
     match spec.measure {
-        Measure::Engine => {
-            let engine = Engine::new(engine_cfg);
-            let kind = coord.prefetcher.unwrap_or(PrefetcherKind::None);
-            let report = match &workload.profile {
-                // Synthetic workloads stream — no trace materialization.
-                Some(profile) => engine_run(
-                    &engine,
-                    profile.stream_with_execution_seed(scale.instructions, spec.seed_offset),
-                    kind,
-                    pif,
-                    warmup,
-                ),
-                // Recorded workloads replay the pre-seeded trace memo.
-                None => engine_run(&engine, trace().instrs().iter().copied(), kind, pif, warmup),
-            };
-            engine_metrics(&mut cell, &report);
-        }
+        Measure::Engine => unreachable!("engine cells run as groups"),
         Measure::PifAnalysis(cdf) => {
             let report = PifAnalyzer::new(pif, engine_cfg.icache).analyze(trace().instrs(), warmup);
             cell.push("miss_coverage", Metric::F64(report.overall_miss_coverage()));
@@ -242,36 +402,16 @@ pub(crate) fn run_job(
                     extra_warmup_instrs: warmup_instrs,
                 });
             let kind = coord.prefetcher.unwrap_or(PrefetcherKind::None);
-            let t = trace();
-            let report = match kind {
-                PrefetcherKind::None => sampled_run(&engine_cfg, &plan, t, pool, || NoPrefetcher),
-                PrefetcherKind::NextLine => {
-                    sampled_run(&engine_cfg, &plan, t, pool, NextLinePrefetcher::aggressive)
-                }
-                PrefetcherKind::Tifs => {
-                    sampled_run(
-                        &engine_cfg,
-                        &plan,
-                        t,
-                        pool,
-                        || Tifs::new(Default::default()),
-                    )
-                }
-                PrefetcherKind::TifsUnbounded => {
-                    sampled_run(&engine_cfg, &plan, t, pool, Tifs::unbounded)
-                }
-                PrefetcherKind::Discontinuity => sampled_run(
-                    &engine_cfg,
-                    &plan,
-                    t,
-                    pool,
-                    DiscontinuityPrefetcher::paper_scale,
-                ),
-                PrefetcherKind::Pif => sampled_run(&engine_cfg, &plan, t, pool, || Pif::new(pif)),
-                PrefetcherKind::Perfect => {
-                    sampled_run(&engine_cfg, &plan, t, pool, || PerfectICache)
-                }
-            };
+            let report = with_prefetcher(
+                kind,
+                pif,
+                SampledRun {
+                    engine_cfg: &engine_cfg,
+                    plan: &plan,
+                    trace: trace(),
+                    pool: ctx.pool,
+                },
+            );
             sampled_metrics(&mut cell, &plan, &report);
         }
         Measure::Static => {
@@ -299,50 +439,6 @@ pub(crate) fn run_job(
         }
     }
     cell
-}
-
-/// One engine run of `source` under the cell's prefetcher kind — shared
-/// by the synthetic streaming path and the recorded-trace replay path.
-fn engine_run(
-    engine: &Engine,
-    source: impl pif_types::InstrSource,
-    kind: PrefetcherKind,
-    pif: pif_core::PifConfig,
-    warmup: usize,
-) -> RunReport {
-    let opts = RunOptions::new().warmup(warmup);
-    match kind {
-        PrefetcherKind::None => engine.run(source, NoPrefetcher, opts),
-        PrefetcherKind::NextLine => engine.run(source, NextLinePrefetcher::aggressive(), opts),
-        PrefetcherKind::Tifs => engine.run(source, Tifs::new(Default::default()), opts),
-        PrefetcherKind::TifsUnbounded => engine.run(source, Tifs::unbounded(), opts),
-        PrefetcherKind::Discontinuity => {
-            engine.run(source, DiscontinuityPrefetcher::paper_scale(), opts)
-        }
-        PrefetcherKind::Pif => engine.run(source, Pif::new(pif), opts),
-        PrefetcherKind::Perfect => engine.run(source, PerfectICache, opts),
-    }
-}
-
-/// One sampled cell run: windows over the memoized workload trace, fanned
-/// out on `pool`. The cell's plan uses per-window warming, so `mk` builds
-/// one fresh prefetcher per window and the merged report is byte-identical
-/// for every worker count (see [`crate::sampled`]).
-fn sampled_run<P: Prefetcher>(
-    engine_cfg: &EngineConfig,
-    plan: &SamplingPlan,
-    trace: &Trace,
-    pool: &Pool,
-    mk: impl Fn() -> P + Sync,
-) -> SampledRunReport {
-    run_sampled_parallel(
-        engine_cfg,
-        plan,
-        trace.len() as u64,
-        |w| trace.instrs()[w.warmup_start as usize..].iter().copied(),
-        |_| mk(),
-        pool,
-    )
 }
 
 fn sampled_metrics(cell: &mut Cell, plan: &SamplingPlan, report: &SampledRunReport) {

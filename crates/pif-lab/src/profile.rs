@@ -26,6 +26,14 @@ pub struct CellProfile {
     pub cached: bool,
     /// Wall-clock microseconds spent simulating the cell (0 when
     /// `cached` — replay cost is not simulation cost).
+    ///
+    /// Engine cells of one (workload, axis point) run as one job that
+    /// generates the trace once and steps every missing prefetcher in
+    /// lockstep, so their time cannot be told apart: each cell of such a
+    /// group is charged the group's time divided by its lane count
+    /// (remainder to the first cells, at least 1 µs each). The shares
+    /// sum to the group's time, so [`SweepProfile::total_exec_us`] stays
+    /// equal to the pool's busy time.
     pub exec_us: u64,
 }
 
@@ -136,24 +144,33 @@ mod tests {
 
     #[test]
     fn profiled_run_report_is_byte_identical_to_plain_run() {
-        let spec = registry::table1();
-        let opts = RunOptions::new()
-            .scale(Scale::tiny())
-            .threads(2)
-            .smoke(true);
-        let plain = run_spec(&spec, &opts);
-        let (profiled, stats, profile) = run_spec_profiled(&spec, &opts);
-        assert_eq!(
-            plain.to_json().unwrap(),
-            profiled.to_json().unwrap(),
-            "profiling must not perturb report bytes"
-        );
-        assert_eq!(stats.executed_cells, spec.grid_len());
-        assert_eq!(profile.cells.len(), spec.grid_len());
-        assert_eq!(profile.threads, 2);
-        for cell in &profile.cells {
-            assert!(!cell.cached, "no cache attached");
-            assert!(cell.exec_us > 0, "executed cell {} untimed", cell.index);
+        // One job per cell (table1) and one job per engine group of five
+        // lanes (fig10): either way every executed cell is timed.
+        for spec in [registry::table1(), registry::fig10()] {
+            let opts = RunOptions::new()
+                .scale(Scale::tiny())
+                .threads(2)
+                .smoke(true);
+            let plain = run_spec(&spec, &opts);
+            let (profiled, stats, profile) = run_spec_profiled(&spec, &opts);
+            assert_eq!(
+                plain.to_json().unwrap(),
+                profiled.to_json().unwrap(),
+                "{}: profiling must not perturb report bytes",
+                spec.name
+            );
+            assert_eq!(stats.executed_cells, spec.grid_len());
+            assert_eq!(profile.cells.len(), spec.grid_len());
+            assert_eq!(profile.threads, 2);
+            for cell in &profile.cells {
+                assert!(!cell.cached, "no cache attached");
+                assert!(
+                    cell.exec_us > 0,
+                    "{}: executed cell {} untimed",
+                    spec.name,
+                    cell.index
+                );
+            }
         }
     }
 }

@@ -4,15 +4,16 @@
 //!    blocks (names, kinds, values, order) can never share a canonical
 //!    identity string, so they can never share a cache key (proptested).
 //! 2. **Byte-identical replay** — a warm-cache `run_spec` performs zero
-//!    engine runs (proven by the `jobs_executed` counting hook) yet
+//!    engine runs (proven by the run's own `SweepRunStats`) yet
 //!    serializes to exactly the bytes of the cold run that populated the
-//!    cache, and of a cache-free run.
+//!    cache, and of a cache-free run; a partly warm run simulates exactly
+//!    the missing cells, with the same bytes again.
 
 use std::path::PathBuf;
 
 use pif_lab::cache::{cell_fingerprint, config_block_canon};
 use pif_lab::json::fmt_f64;
-use pif_lab::{registry, run_spec_stats, Metric, ResultCache, RunOptions, Scale};
+use pif_lab::{registry, run_spec_stats, Metric, PrefetcherKind, ResultCache, RunOptions, Scale};
 use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -21,10 +22,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The warm-replay contract, end to end. One test (not several) because
-/// `jobs_executed` is a process-wide counter: running the cold and warm
-/// sweeps in a single sequence keeps other tests in this binary from
-/// perturbing the deltas we assert on.
+/// The warm-replay contract, end to end.
 #[test]
 fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
     let dir = tmpdir("warm");
@@ -47,24 +45,84 @@ fn warm_cache_rerun_is_byte_identical_with_zero_engine_runs() {
     assert_eq!(cache.entries().unwrap(), spec.grid_len());
     assert_eq!(cold.to_json().unwrap(), reference_json);
 
-    // Warm run answers everything from disk: zero jobs reach the
+    // Warm run answers everything from disk: no cell reaches the
     // measurement layer, and the report bytes are untouched.
-    let before = pif_lab::jobs_executed();
     let (warm, warm_stats) = run_spec_stats(&spec, &cached_opts);
-    let executed_during_warm = pif_lab::jobs_executed() - before;
-    assert_eq!(executed_during_warm, 0, "warm cache must not simulate");
+    assert_eq!(warm_stats.executed_cells, 0, "warm cache must not simulate");
     assert_eq!(warm_stats.cached_cells, spec.grid_len());
-    assert_eq!(warm_stats.executed_cells, 0);
     assert_eq!(warm.to_json().unwrap(), reference_json);
 
-    // Partial warmth: clearing the store re-simulates everything (the
-    // mixed case is exercised by the service soak test).
+    // Clearing the store re-simulates everything.
     cache.clear().unwrap();
     let (refilled, refill_stats) = run_spec_stats(&spec, &cached_opts);
     assert_eq!(refill_stats.executed_cells, spec.grid_len());
     assert_eq!(refilled.to_json().unwrap(), reference_json);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Engine cells of one (workload, point) run as one job with a lane per
+/// prefetcher. With some cells of a group already cached, the job must
+/// simulate only the missing cells — as lanes of one shared front end,
+/// or alone when one is left — and the report must not change a byte.
+#[test]
+fn partly_cached_engine_groups_run_only_missing_cells() {
+    let dir = tmpdir("partial");
+    let cache = ResultCache::open(&dir).unwrap();
+    let spec = registry::fig10();
+    let scale = Scale::tiny();
+    let opts = RunOptions::new().scale(scale).threads(2).smoke(true);
+    let reference = run_spec_stats(&spec, &opts).0.to_json().unwrap();
+    let cached_opts = opts.clone().cache(&cache);
+    run_spec_stats(&spec, &cached_opts);
+
+    // Evict a mix: two lanes of workload 0's group, one lane of
+    // workload 1's, the whole group of workload 2, and nothing else.
+    let names = spec.workload_names();
+    let evict: Vec<_> = spec
+        .jobs()
+        .into_iter()
+        .filter(|c| match c.workload {
+            0 => matches!(
+                c.prefetcher,
+                Some(
+                    PrefetcherKind::NextLine
+                        | PrefetcherKind::TifsUnbounded
+                        | PrefetcherKind::Perfect
+                )
+            ),
+            1 => c.prefetcher == Some(PrefetcherKind::Pif),
+            2 => true,
+            _ => false,
+        })
+        .collect();
+    assert_eq!(evict.len(), 3 + 1 + 5);
+    for coord in &evict {
+        let fp = cell_fingerprint(&spec, &scale, &names[coord.workload], *coord);
+        assert_eq!(remove_entry(cache.root(), fp), 1, "cell {}", coord.index);
+    }
+
+    let (partial, stats) = run_spec_stats(&spec, &cached_opts);
+    assert_eq!(stats.executed_cells, evict.len());
+    assert_eq!(stats.cached_cells, spec.grid_len() - evict.len());
+    assert_eq!(partial.to_json().unwrap(), reference);
+    assert_eq!(cache.entries().unwrap(), spec.grid_len(), "refilled");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Deletes the cache entry file named after `config_fp` from every
+/// trace shard under `root`, returning how many were removed.
+fn remove_entry(root: &std::path::Path, config_fp: u64) -> usize {
+    let name = format!("{config_fp:016x}.json");
+    let mut removed = 0;
+    for shard in std::fs::read_dir(root).unwrap() {
+        let path = shard.unwrap().path().join(&name);
+        if path.exists() {
+            std::fs::remove_file(path).unwrap();
+            removed += 1;
+        }
+    }
+    removed
 }
 
 /// A different scale must address different entries, not hit stale ones.

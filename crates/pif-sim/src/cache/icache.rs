@@ -10,9 +10,10 @@ use super::replacement::Lru;
 use super::set_assoc::SetAssocCache;
 
 /// How a resident line got into the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LineProvenance {
     /// Filled by a demand miss.
+    #[default]
     Demand,
     /// Installed by a prefetch and not yet demanded.
     Prefetched,
@@ -20,7 +21,7 @@ pub enum LineProvenance {
     PrefetchedUsed,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LineMeta {
     provenance: LineProvenance,
 }

@@ -31,7 +31,10 @@ use super::set_assoc::SetAssocCache;
 /// ```
 #[derive(Debug, Clone)]
 pub struct L2Model {
-    cache: SetAssocCache<Lru, ()>,
+    /// Presence tracker, built on the first access: a run that never
+    /// reaches the L2 (a perfect L1-I) never allocates its ~1 MB of tags.
+    cache: Option<SetAssocCache<Lru, ()>>,
+    sets: usize,
     config: L2Config,
     hits: u64,
     misses: u64,
@@ -49,8 +52,10 @@ impl L2Model {
             return Err(pif_types::ConfigError::new("invalid L2 geometry"));
         }
         let sets = blocks / config.ways;
+        SetAssocCache::<Lru, ()>::check_geometry(sets, config.ways)?;
         Ok(L2Model {
-            cache: SetAssocCache::new(sets, config.ways)?,
+            cache: None,
+            sets,
             config,
             hits: 0,
             misses: 0,
@@ -66,16 +71,19 @@ impl L2Model {
     /// unchanged thereafter.
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> u64 {
-        if self.cache.access(block).is_some() {
+        let cache = self.cache.get_or_insert_with(|| {
+            SetAssocCache::new(self.sets, self.config.ways).expect("geometry checked by new")
+        });
+        if cache.access(block).is_some() {
             self.hits += 1;
             self.config.hit_latency_cycles
         } else if self.config.assume_warm {
             self.hits += 1;
-            self.cache.insert(block, ());
+            cache.insert(block, ());
             self.config.hit_latency_cycles
         } else {
             self.misses += 1;
-            self.cache.insert(block, ());
+            cache.insert(block, ());
             self.config.memory_latency_cycles
         }
     }
@@ -142,6 +150,14 @@ mod tests {
         assert_eq!(l2.access(b), cfg.hit_latency_cycles, "warm first touch");
         assert_eq!(l2.access(b), cfg.hit_latency_cycles);
         assert_eq!(l2.misses(), 0, "checkpoint-warmed L2 never misses");
+    }
+
+    #[test]
+    fn tags_are_built_on_first_access() {
+        let mut l2 = L2Model::new(L2Config::paper_default()).unwrap();
+        assert!(l2.cache.is_none(), "an untouched L2 allocates no tags");
+        l2.access(BlockAddr::from_number(3));
+        assert!(l2.cache.is_some());
     }
 
     #[test]

@@ -44,14 +44,15 @@ pub struct SetAssocCache<P: ReplacementPolicy, T = ()> {
     /// empty way). We store the whole number rather than a truncated tag so
     /// debugging output stays legible.
     tags: Vec<u64>,
-    /// Parallel per-line metadata; `Some` exactly where the tag is valid.
-    meta: Vec<Option<T>>,
+    /// Parallel per-line metadata, meaningful exactly where the tag is
+    /// valid (the sentinel already records validity, so no `Option`).
+    meta: Vec<T>,
     /// One packed replacement-state word per set, stored inline.
     repl: Vec<P::SetState>,
     resident: usize,
 }
 
-impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
+impl<P: ReplacementPolicy, T: Default> SetAssocCache<P, T> {
     /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Errors
@@ -59,6 +60,27 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
     /// Returns [`ConfigError`] if `sets` is not a power of two or either
     /// dimension is zero.
     pub fn new(sets: usize, ways: usize) -> Result<Self, ConfigError> {
+        Self::check_geometry(sets, ways)?;
+        let mut meta = Vec::with_capacity(sets * ways);
+        meta.resize_with(sets * ways, T::default);
+        Ok(SetAssocCache {
+            sets,
+            ways,
+            set_mask: sets as u64 - 1,
+            tags: vec![INVALID_TAG; sets * ways],
+            meta,
+            repl: vec![P::init(ways); sets],
+            resident: 0,
+        })
+    }
+
+    /// Checks the geometry [`SetAssocCache::new`] would accept, without
+    /// allocating anything.
+    ///
+    /// # Errors
+    ///
+    /// As [`SetAssocCache::new`].
+    pub fn check_geometry(sets: usize, ways: usize) -> Result<(), ConfigError> {
         if sets == 0 || ways == 0 {
             return Err(ConfigError::new("cache sets and ways must be non-zero"));
         }
@@ -73,17 +95,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
                 P::MAX_WAYS
             )));
         }
-        let mut meta = Vec::with_capacity(sets * ways);
-        meta.resize_with(sets * ways, || None);
-        Ok(SetAssocCache {
-            sets,
-            ways,
-            set_mask: sets as u64 - 1,
-            tags: vec![INVALID_TAG; sets * ways],
-            meta,
-            repl: vec![P::init(ways); sets],
-            resident: 0,
-        })
+        Ok(())
     }
 
     /// Number of sets.
@@ -136,7 +148,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
     pub fn probe(&self, block: BlockAddr) -> Option<&T> {
         let set = self.set_index(block);
         let way = self.find_way(set, block.number())?;
-        self.meta[set * self.ways + way].as_ref()
+        Some(&self.meta[set * self.ways + way])
     }
 
     /// True if `block` is resident (non-perturbing).
@@ -154,7 +166,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         let set = self.set_index(block);
         let way = self.find_way(set, block.number())?;
         P::touch(&mut self.repl[set], self.ways, way);
-        self.meta[set * self.ways + way].as_mut()
+        Some(&mut self.meta[set * self.ways + way])
     }
 
     /// Inserts `block`, evicting a victim if the set is full. Returns the
@@ -175,31 +187,22 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         let base = set * self.ways;
         if let Some(way) = self.find_way(set, tag) {
             P::touch(&mut self.repl[set], self.ways, way);
-            self.meta[base + way] = Some(meta);
+            self.meta[base + way] = meta;
             return None;
         }
         // Prefer an empty way.
         let empty = self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == INVALID_TAG);
-        let (way, evicted) = match empty {
-            Some(way) => (way, None),
-            None => {
-                let way = P::victim(&mut self.repl[set], self.ways);
-                let old_tag = self.tags[base + way];
-                let old_meta = self.meta[base + way]
-                    .take()
-                    .expect("resident line has meta");
-                (way, Some((BlockAddr::from_number(old_tag), old_meta)))
-            }
-        };
-        self.tags[base + way] = tag;
-        self.meta[base + way] = Some(meta);
+        let way = empty.unwrap_or_else(|| P::victim(&mut self.repl[set], self.ways));
+        let old_tag = std::mem::replace(&mut self.tags[base + way], tag);
+        let old_meta = std::mem::replace(&mut self.meta[base + way], meta);
         P::touch(&mut self.repl[set], self.ways, way);
-        if evicted.is_none() {
+        if empty.is_some() {
             self.resident += 1;
+            return None;
         }
-        evicted
+        Some((BlockAddr::from_number(old_tag), old_meta))
     }
 
     /// Removes `block` from the cache, returning its metadata if resident.
@@ -208,7 +211,7 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
         let way = self.find_way(set, block.number())?;
         self.resident -= 1;
         self.tags[set * self.ways + way] = INVALID_TAG;
-        self.meta[set * self.ways + way].take()
+        Some(std::mem::take(&mut self.meta[set * self.ways + way]))
     }
 
     /// Iterates over resident blocks (arbitrary order).
@@ -221,10 +224,9 @@ impl<P: ReplacementPolicy, T> SetAssocCache<P, T> {
 
     /// Clears all lines and resets replacement state.
     pub fn clear(&mut self) {
+        // Metadata of invalid ways is never read; resetting the tags
+        // is enough.
         self.tags.fill(INVALID_TAG);
-        for slot in &mut self.meta {
-            *slot = None;
-        }
         for state in &mut self.repl {
             *state = P::init(self.ways);
         }

@@ -143,8 +143,10 @@ impl Engine {
 
     /// Runs a streaming [`InstrSource`] with `prefetcher` attached.
     ///
-    /// This is the engine's single entry point; everything else
-    /// (`run_instrs*`, `run_source*`) is a thin deprecated wrapper over
+    /// This is the one-prefetcher case of the engine's single loop,
+    /// [`EngineRun`] (see [`Engine::start`]), with the prefetcher's
+    /// [`EngineState`] receiving front-end events by direct dispatch;
+    /// `run_instrs*` and `run_source*` are thin deprecated wrappers over
     /// it. Because instructions are *pulled* one at a time, the trace
     /// never has to exist in memory: pass a `pif_trace::TraceReader`'s
     /// instruction iterator to simulate a multi-hundred-million-
@@ -181,7 +183,7 @@ impl Engine {
         prefetcher: P,
         options: RunOptions<'_>,
     ) -> RunReport {
-        self.run_probed(source, prefetcher, options, &mut NoProbe)
+        self.start(self.state(prefetcher), options).run(source)
     }
 
     /// [`Engine::run`] with an instrumentation [`Probe`] attached.
@@ -191,8 +193,8 @@ impl Engine {
     /// affecting it: for any trace, prefetcher, and options, the
     /// returned [`RunReport`] is identical to an unprobed
     /// [`Engine::run`] (see `tests/probe_equivalence.rs`). `run` itself
-    /// forwards here with [`NoProbe`], whose `ENABLED = false` constant
-    /// folds every instrumentation site out of the compiled loop.
+    /// attaches [`NoProbe`], whose `ENABLED = false` constant folds every
+    /// instrumentation site out of the compiled loop.
     ///
     /// # Example
     ///
@@ -221,48 +223,65 @@ impl Engine {
         options: RunOptions<'_>,
         probe: &mut Pr,
     ) -> RunReport {
-        match options.frontend {
-            Some(frontend) => {
-                self.run_core(source, prefetcher, options.warmup_instrs, frontend, probe)
-            }
-            None => {
-                let mut frontend = FrontEnd::new(self.config.frontend);
-                self.run_core(
-                    source,
-                    prefetcher,
-                    options.warmup_instrs,
-                    &mut frontend,
-                    probe,
-                )
-            }
+        let state = EngineState::new(&self.config, prefetcher, probe);
+        self.start(state, options).run(source)
+    }
+
+    /// One prefetcher's simulated machine (L1-I, L2, prefetch queue,
+    /// timing model), ready to [`Engine::start`] a push-driven run.
+    pub fn state<P: Prefetcher>(&self, prefetcher: P) -> EngineState<P> {
+        EngineState::new(&self.config, prefetcher, NoProbe)
+    }
+
+    /// An empty [`LaneBank`] for this engine's configuration: add one
+    /// lane per prefetcher, then [`Engine::start`] it to simulate all of
+    /// them behind one shared front end.
+    pub fn lanes<'a>(&self) -> LaneBank<'a> {
+        LaneBank {
+            config: self.config,
+            lanes: Vec::new(),
+            events: Vec::with_capacity(LANE_BATCH_EVENTS),
         }
     }
 
-    fn run_core<P: Prefetcher, S: InstrSource, Pr: Probe>(
-        &self,
-        mut source: S,
-        prefetcher: P,
-        warmup_instrs: usize,
-        frontend: &mut FrontEnd,
-        probe: &mut Pr,
-    ) -> RunReport {
-        frontend.reset_stats();
-        let mut state = EngineState::new(&self.config, prefetcher, probe);
-        let mut warm = warmup_instrs == 0;
-        let mut retired: usize = 0;
-        // Events are dispatched straight from the front end into
-        // `state.process` — no intermediate buffer, no per-instruction
-        // allocation.
-        while let Some(instr) = source.next_instr() {
-            if !warm && retired >= warmup_instrs {
-                state.mark_warm();
-                warm = true;
+    /// Starts a push-driven run feeding `sink` — one [`EngineState`]
+    /// from [`Engine::state`] or a [`LaneBank`] from [`Engine::lanes`].
+    /// Hand the returned [`EngineRun`] retired instructions with
+    /// [`EngineRun::push`] (for example from inside a workload
+    /// generator's callback, so the trace never exists as a buffer or a
+    /// channel) and collect the reports with [`EngineRun::finish`].
+    ///
+    /// [`Engine::run`] is this with one [`EngineState`] and a pulled
+    /// source.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
+    /// use pif_types::{Address, RetiredInstr, TrapLevel};
+    ///
+    /// let engine = Engine::new(EngineConfig::paper_default());
+    /// let mut run = engine.start(engine.state(NoPrefetcher), RunOptions::new().warmup(100));
+    /// for i in 0..1000u64 {
+    ///     run.push(RetiredInstr::simple(Address::new((i % 256) * 4), TrapLevel::Tl0));
+    /// }
+    /// let report = run.finish();
+    /// assert_eq!(report.frontend.instructions, 1000);
+    /// ```
+    pub fn start<'f, K: EventSink>(&self, sink: K, options: RunOptions<'f>) -> EngineRun<'f, K> {
+        let frontend = match options.frontend {
+            Some(frontend) => {
+                frontend.reset_stats();
+                FrontEndSlot::Borrowed(frontend)
             }
-            retired += 1;
-            frontend.step(instr, |e| state.process(e));
+            None => FrontEndSlot::Owned(Box::new(FrontEnd::new(self.config.frontend))),
+        };
+        EngineRun {
+            frontend,
+            sink,
+            warmup_instrs: options.warmup_instrs,
+            retired: 0,
         }
-        frontend.flush(|e| state.process(e));
-        state.finish(*frontend.stats())
     }
 
     /// Runs `trace` with `prefetcher` attached and returns the report.
@@ -359,13 +378,207 @@ impl Engine {
     }
 }
 
-/// Mutable per-run state, separated from `Engine` so `run` stays reentrant.
-struct EngineState<'p, P, Pr> {
+/// Receives the front-end events of one [`EngineRun`].
+///
+/// The front end's events do not depend on which prefetcher is attached,
+/// so one front end can feed any number of prefetchers: an
+/// [`EngineState`] simulates one, a [`LaneBank`] fans the same events
+/// out to several.
+pub trait EventSink {
+    /// What [`EngineRun::finish`] returns.
+    type Report;
+
+    /// Handles one front-end event, in pipeline order.
+    fn process(&mut self, event: FrontendEvent);
+
+    /// Called once at the warm-up boundary, just before the first
+    /// measured instruction is stepped: statistics restart from zero
+    /// while all simulated state carries over.
+    fn mark_warm(&mut self);
+
+    /// Ends the run. `frontend` holds the shared front end's counters
+    /// for this run.
+    fn finish(self, frontend: FrontendStats) -> Self::Report;
+}
+
+/// The front end an [`EngineRun`] steps: its own, or a caller's whose
+/// predictor state persists across runs ([`RunOptions::frontend`]).
+#[derive(Debug)]
+enum FrontEndSlot<'f> {
+    Owned(Box<FrontEnd>),
+    Borrowed(&'f mut FrontEnd),
+}
+
+impl FrontEndSlot<'_> {
+    #[inline]
+    fn get(&mut self) -> &mut FrontEnd {
+        match self {
+            FrontEndSlot::Owned(frontend) => frontend,
+            FrontEndSlot::Borrowed(frontend) => frontend,
+        }
+    }
+}
+
+/// A push-driven engine run, started by [`Engine::start`]: every
+/// retired instruction is stepped through the front end once, and its
+/// events go to the run's [`EventSink`].
+#[derive(Debug)]
+pub struct EngineRun<'f, K> {
+    frontend: FrontEndSlot<'f>,
+    sink: K,
+    warmup_instrs: usize,
+    retired: usize,
+}
+
+impl<K: EventSink> EngineRun<'_, K> {
+    /// Retires the next instruction of the trace.
+    #[inline]
+    pub fn push(&mut self, instr: RetiredInstr) {
+        // The first `warmup_instrs` retirements train state unmeasured.
+        if self.retired == self.warmup_instrs && self.retired != 0 {
+            self.sink.mark_warm();
+        }
+        self.retired += 1;
+        // The front end hands each event to the sink as it emits it; no
+        // per-instruction allocation.
+        let sink = &mut self.sink;
+        self.frontend.get().step(instr, |e| sink.process(e));
+    }
+
+    /// Pushes every instruction of `source`, then finishes the run.
+    pub fn run<S: InstrSource>(mut self, mut source: S) -> K::Report {
+        while let Some(instr) = source.next_instr() {
+            self.push(instr);
+        }
+        self.finish()
+    }
+
+    /// Drains the front end's reorder buffer and returns the sink's
+    /// report(s).
+    pub fn finish(self) -> K::Report {
+        let EngineRun {
+            mut frontend,
+            mut sink,
+            ..
+        } = self;
+        let frontend = frontend.get();
+        frontend.flush(|e| sink.process(e));
+        sink.finish(*frontend.stats())
+    }
+}
+
+/// Front-end events a [`LaneBank`] buffers before handing them to each
+/// lane in turn: each lane then works through a batch with its own
+/// caches and tables hot, and dispatch is one virtual call per lane per
+/// batch rather than per event.
+const LANE_BATCH_EVENTS: usize = 1024;
+
+/// Several independent prefetcher lanes behind one shared front end
+/// (built by [`Engine::lanes`]).
+///
+/// Each lane is a complete [`EngineState`]; lane `i`'s report equals the
+/// report of a separate [`Engine::run`] of the same trace, options, and
+/// prefetcher, field for field (see `crates/pif-sim/tests/lanes.rs`).
+/// What the lanes share is the work that does not depend on the
+/// prefetcher: producing the trace and stepping it through the branch
+/// predictor and wrong-path model.
+pub struct LaneBank<'a> {
+    config: EngineConfig,
+    lanes: Vec<Box<dyn Lane + 'a>>,
+    /// Bounded batch of pending events; never grows past its initial
+    /// capacity.
+    events: Vec<FrontendEvent>,
+}
+
+impl<'a> LaneBank<'a> {
+    /// Adds a lane simulating `prefetcher`; reports come back in the
+    /// order lanes were added.
+    pub fn add<P: Prefetcher + 'a>(&mut self, prefetcher: P) {
+        self.lanes.push(Box::new(EngineState::new(
+            &self.config,
+            prefetcher,
+            NoProbe,
+        )));
+    }
+
+    fn drain(&mut self) {
+        for lane in &mut self.lanes {
+            lane.process_batch(&self.events);
+        }
+        self.events.clear();
+    }
+}
+
+impl std::fmt::Debug for LaneBank<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneBank")
+            .field("lanes", &self.lanes.len())
+            .field("pending_events", &self.events.len())
+            .finish()
+    }
+}
+
+impl EventSink for LaneBank<'_> {
+    type Report = Vec<RunReport>;
+
+    #[inline]
+    fn process(&mut self, event: FrontendEvent) {
+        self.events.push(event);
+        if self.events.len() == LANE_BATCH_EVENTS {
+            self.drain();
+        }
+    }
+
+    fn mark_warm(&mut self) {
+        // Events before the boundary belong to the warm-up.
+        self.drain();
+        for lane in &mut self.lanes {
+            lane.mark_warm();
+        }
+    }
+
+    fn finish(mut self, frontend: FrontendStats) -> Vec<RunReport> {
+        self.drain();
+        self.lanes
+            .into_iter()
+            .map(|lane| lane.finish(frontend))
+            .collect()
+    }
+}
+
+/// An [`EngineState`] with its prefetcher type erased, as a
+/// [`LaneBank`] holds it.
+trait Lane {
+    fn process_batch(&mut self, events: &[FrontendEvent]);
+    fn mark_warm(&mut self);
+    fn finish(self: Box<Self>, frontend: FrontendStats) -> RunReport;
+}
+
+impl<P: Prefetcher> Lane for EngineState<P, NoProbe> {
+    fn process_batch(&mut self, events: &[FrontendEvent]) {
+        for &event in events {
+            self.process(event);
+        }
+    }
+
+    fn mark_warm(&mut self) {
+        EventSink::mark_warm(self);
+    }
+
+    fn finish(self: Box<Self>, frontend: FrontendStats) -> RunReport {
+        EventSink::finish(*self, frontend)
+    }
+}
+
+/// One prefetcher's simulated machine: L1-I, L2, prefetch queue, timing
+/// model, and counters. Built by [`Engine::state`]; mutable per-run
+/// state, separated from `Engine` so `run` stays reentrant.
+pub struct EngineState<P, Pr = NoProbe> {
     prefetcher: P,
     /// Instrumentation observer; every use is guarded by `Pr::ENABLED`
     /// so [`NoProbe`] monomorphizes the guards (and this field's
     /// updates) out of the loop.
-    probe: &'p mut Pr,
+    probe: Pr,
     /// Retirements since run start, maintained only when the probe is
     /// enabled (drives periodic prefetcher-gauge sampling).
     gauge_tick: u64,
@@ -382,8 +595,42 @@ struct EngineState<'p, P, Pr> {
     scratch_requests: Vec<BlockAddr>,
 }
 
-impl<'p, P: Prefetcher, Pr: Probe> EngineState<'p, P, Pr> {
-    fn new(config: &EngineConfig, prefetcher: P, probe: &'p mut Pr) -> Self {
+impl<P: Prefetcher, Pr: Probe> EventSink for EngineState<P, Pr> {
+    type Report = RunReport;
+
+    #[inline]
+    fn process(&mut self, event: FrontendEvent) {
+        match event {
+            FrontendEvent::Fetch(access) => self.process_fetch(access),
+            FrontendEvent::Retire(instr, mispredicted) => self.process_retire(instr, mispredicted),
+        }
+    }
+
+    fn mark_warm(&mut self) {
+        self.fetch = FetchStats::default();
+        self.prefetch = PrefetchStats::default();
+        self.timing.mark();
+    }
+
+    fn finish(mut self, frontend: FrontendStats) -> RunReport {
+        // Account prefetched-but-never-used blocks still resident or
+        // evicted: useful + unused = issued - in-flight.
+        let landed = self.prefetch.issued.saturating_sub(self.queue.len() as u64);
+        self.prefetch.unused_evicted = landed.saturating_sub(self.prefetch.useful);
+        RunReport {
+            prefetcher: self.prefetcher.name(),
+            fetch: self.fetch,
+            prefetch: self.prefetch,
+            frontend,
+            timing: self.timing.report(),
+            l2_hits: self.l2.hits(),
+            l2_misses: self.l2.misses(),
+        }
+    }
+}
+
+impl<P: Prefetcher, Pr: Probe> EngineState<P, Pr> {
+    fn new(config: &EngineConfig, prefetcher: P, probe: Pr) -> Self {
         let perfect = prefetcher.is_perfect();
         EngineState {
             prefetcher,
@@ -398,22 +645,6 @@ impl<'p, P: Prefetcher, Pr: Probe> EngineState<'p, P, Pr> {
             perfect,
             scratch_requests: Vec::with_capacity(64),
         }
-    }
-
-    #[inline]
-    fn process(&mut self, event: FrontendEvent) {
-        match event {
-            FrontendEvent::Fetch(access) => self.process_fetch(access),
-            FrontendEvent::Retire(instr, mispredicted) => self.process_retire(instr, mispredicted),
-        }
-    }
-
-    /// Resets measured statistics at the warmup boundary; all simulated
-    /// state (caches, history, queues) carries over.
-    fn mark_warm(&mut self) {
-        self.fetch = FetchStats::default();
-        self.prefetch = PrefetchStats::default();
-        self.timing.mark();
     }
 
     fn run_hook(&mut self, f: impl FnOnce(&mut P, &mut PrefetchContext<'_>)) {
@@ -525,27 +756,13 @@ impl<'p, P: Prefetcher, Pr: Probe> EngineState<'p, P, Pr> {
             );
         self.run_hook(|p, ctx| p.on_retire(&instr, prefetched, ctx));
     }
-
-    fn finish(mut self, frontend: FrontendStats) -> RunReport {
-        // Account prefetched-but-never-used blocks still resident or
-        // evicted: useful + unused = issued - in-flight.
-        let landed = self.prefetch.issued.saturating_sub(self.queue.len() as u64);
-        self.prefetch.unused_evicted = landed.saturating_sub(self.prefetch.useful);
-        RunReport {
-            prefetcher: self.prefetcher.name(),
-            fetch: self.fetch,
-            prefetch: self.prefetch,
-            frontend,
-            timing: self.timing.report(),
-            l2_hits: self.l2.hits(),
-            l2_misses: self.l2.misses(),
-        }
-    }
 }
 
-impl std::fmt::Debug for EngineState<'_, (), NoProbe> {
+impl<P, Pr> std::fmt::Debug for EngineState<P, Pr> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineState").finish_non_exhaustive()
+        f.debug_struct("EngineState")
+            .field("perfect", &self.perfect)
+            .finish_non_exhaustive()
     }
 }
 

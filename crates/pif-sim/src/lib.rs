@@ -71,7 +71,7 @@ pub mod streams;
 pub mod timing;
 
 pub use config::{EngineConfig, FrontendConfig, ICacheConfig, L2Config, TimingConfig};
-pub use engine::{Engine, RunOptions, RunReport};
+pub use engine::{Engine, EngineRun, EngineState, EventSink, LaneBank, RunOptions, RunReport};
 pub use prefetch::{NoPrefetcher, PrefetchContext, Prefetcher, PrefetcherHarness};
 pub use probe::{EngineProbe, NoProbe, Probe, StallKind};
 pub use stats::{FetchStats, FrontendStats, Log2Histogram, PrefetchStats};

@@ -79,6 +79,27 @@ pub trait Probe {
     fn prefetcher_gauge(&mut self, name: &'static str, value: u64);
 }
 
+/// A borrowed probe observes for its owner (how [`crate::Engine::run_probed`]
+/// attaches a caller's probe).
+impl<T: Probe + ?Sized> Probe for &mut T {
+    const ENABLED: bool = T::ENABLED;
+
+    #[inline]
+    fn fetch_stall(&mut self, kind: StallKind, cycles: u64) {
+        (**self).fetch_stall(kind, cycles);
+    }
+
+    #[inline]
+    fn queue_depth(&mut self, depth: usize) {
+        (**self).queue_depth(depth);
+    }
+
+    #[inline]
+    fn prefetcher_gauge(&mut self, name: &'static str, value: u64) {
+        (**self).prefetcher_gauge(name, value);
+    }
+}
+
 /// The default probe: compiles to nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoProbe;

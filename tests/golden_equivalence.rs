@@ -8,7 +8,8 @@
 //! `7b07f0d`) on two deterministic traces — a synthetic OLTP profile and a
 //! thrashing sweep — for every prefetcher. Any behavioural drift in the
 //! cache, replacement, prefetch-queue, SAB, or event-dispatch paths shows
-//! up here as a counter mismatch.
+//! up here as a counter mismatch — for single runs and for the same
+//! prefetchers run as lanes of one shared front end.
 
 use pif_baselines::{DiscontinuityPrefetcher, NextLinePrefetcher, PerfectICache, Tifs};
 use pif_core::{Pif, PifConfig};
@@ -101,6 +102,28 @@ fn check(trace: &[RetiredInstr], warmup: usize, golden: &[&str]) {
             *expected,
             "RunReport drifted from the pre-refactor engine for {}",
             run.prefetcher
+        );
+    }
+
+    // The same six prefetchers as lanes of one shared front end must
+    // reproduce the same counters.
+    let mut lanes = engine.lanes();
+    lanes.add(NoPrefetcher);
+    lanes.add(Pif::new(PifConfig::paper_default()));
+    lanes.add(NextLinePrefetcher::aggressive());
+    lanes.add(Tifs::new(Default::default()));
+    lanes.add(DiscontinuityPrefetcher::paper_scale());
+    lanes.add(PerfectICache);
+    let lane_reports = engine
+        .start(lanes, RunOptions::new().warmup(warmup))
+        .run(trace.iter().copied());
+    assert_eq!(lane_reports.len(), golden.len());
+    for (lane, expected) in lane_reports.iter().zip(golden) {
+        assert_eq!(
+            fingerprint(lane),
+            *expected,
+            "multi-lane run drifted from the pre-refactor engine for {}",
+            lane.prefetcher
         );
     }
 }

@@ -8,20 +8,30 @@
 //! per-retirement path runs out of fixed-capacity storage.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
+use pif_baselines::{NextLinePrefetcher, PerfectICache};
 use pif_core::{Pif, PifConfig};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
 use pif_types::{Address, RetiredInstr, TrapLevel};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counting per thread keeps the
+    /// harness's and concurrently running tests' allocations out of a
+    /// test's measurement window. Const-initialized and without a
+    /// destructor, so the allocator can read it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,16 +48,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global, so the two tests in this
-/// binary must not overlap: each takes this lock for its whole body
-/// (trace generation included) to keep the other's allocations out of
-/// its measurement windows.
-static SERIAL: Mutex<()> = Mutex::new(());
-
+/// Allocations `f` makes on the calling thread (the engine runs on the
+/// caller's thread).
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A thrashing sweep (footprint 2× the L1-I) repeated `laps` times.
@@ -68,7 +74,6 @@ fn sweep_trace(laps: u64) -> Vec<RetiredInstr> {
 
 #[test]
 fn engine_steady_state_is_allocation_free_without_prefetcher() {
-    let _serial = SERIAL.lock().unwrap();
     let engine = Engine::new(EngineConfig::paper_default());
     let short = sweep_trace(4);
     let long = sweep_trace(8);
@@ -87,7 +92,6 @@ fn engine_steady_state_is_allocation_free_without_prefetcher() {
 
 #[test]
 fn engine_steady_state_is_allocation_free_with_pif() {
-    let _serial = SERIAL.lock().unwrap();
     let engine = Engine::new(EngineConfig::paper_default());
     let short = sweep_trace(4);
     let long = sweep_trace(8);
@@ -114,5 +118,33 @@ fn engine_steady_state_is_allocation_free_with_pif() {
         extra <= 8,
         "steady-state PIF run allocated {extra} times over 4 extra laps \
          ({a_short} vs {a_long})"
+    );
+}
+
+/// A multi-lane run (one shared front end feeding several engine
+/// states through a bounded event batch) is as allocation-free in steady
+/// state as a single run: lane boxes, the batch buffer and the report
+/// vector are allocated once, whatever the trace length.
+#[test]
+fn multi_lane_steady_state_is_allocation_free() {
+    let engine = Engine::new(EngineConfig::paper_default());
+    let run_lanes = |trace: &[RetiredInstr]| {
+        let mut lanes = engine.lanes();
+        lanes.add(NoPrefetcher);
+        lanes.add(NextLinePrefetcher::aggressive());
+        lanes.add(PerfectICache);
+        let reports = engine
+            .start(lanes, RunOptions::new())
+            .run(trace.iter().copied());
+        assert_eq!(reports.len(), 3);
+    };
+    let short = sweep_trace(4);
+    let long = sweep_trace(8);
+    let a_short = allocs_during(|| run_lanes(&short));
+    let a_long = allocs_during(|| run_lanes(&long));
+    assert_eq!(
+        a_short, a_long,
+        "multi-lane allocations must not scale with trace length \
+         ({a_short} for 4 laps vs {a_long} for 8 laps)"
     );
 }
