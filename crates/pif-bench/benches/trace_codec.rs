@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo bench -p pif-bench --bench trace_codec`
 
+use std::io::Cursor;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use pif_trace::{encode_v2, scan_info, TraceReader};
@@ -63,6 +65,17 @@ fn bench_decode(c: &mut Criterion) {
                 r.unwrap();
                 n += 1;
             }
+            black_box(n)
+        })
+    });
+    // The engine's shape: a seekable reader drained through
+    // `instrs_mut()`, so the serve path is timed along with the kernel.
+    g.bench_function("v2_instrs_mut", |b| {
+        b.iter(|| {
+            let mut reader = TraceReader::open(Cursor::new(black_box(v2.as_slice()))).unwrap();
+            let mut instrs = reader.instrs_mut();
+            let n = instrs.by_ref().count();
+            assert!(instrs.error().is_none());
             black_box(n)
         })
     });

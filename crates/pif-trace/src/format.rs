@@ -91,6 +91,9 @@ pub fn encode_record(buf: &mut Vec<u8>, instr: &RetiredInstr, prev_pc: &mut u64)
 }
 
 /// Decodes one v2 record from the front of `data`, advancing it.
+///
+/// The record-at-a-time reference: readers decode through
+/// [`decode_chunk`], and the differential tests hold the two equal.
 pub fn decode_record(
     data: &mut &[u8],
     prev_pc: &mut u64,
@@ -136,12 +139,18 @@ pub fn decode_record(
 /// Batch-decodes a whole chunk payload into `out` (cleared first).
 ///
 /// Semantically identical to calling [`decode_record`] `records` times
-/// from a zeroed delta base — the proptests in
-/// `tests/decode_batched.rs` hold the two paths equal — but the tight
-/// loop over a flat output `Vec` keeps the varint decode
-/// branch-predictable instead of interleaving it with per-record
-/// consumer work. The caller reuses `out` across chunks, so steady-state
-/// decoding allocates nothing.
+/// from a zeroed delta base: the same records, or the same
+/// [`TraceDecodeError`] with the same records pushed before it. The
+/// proptests in `tests/decode_batched.rs` hold the two paths equal, on
+/// valid and on corrupted payloads.
+///
+/// The loop walks one byte cursor over `payload` and checks each flag
+/// byte in `decode_record`'s order: trap level, then branch bits on a
+/// non-branch, then the PC varint, then the branch kind. Varints below
+/// 0x80 (one byte, most PC deltas since sequential instructions are +4)
+/// are read inline; longer ones take a cold path through
+/// `read_varint` and its exact checks. The caller reuses `out` across
+/// chunks, so steady-state decoding allocates nothing.
 pub fn decode_chunk(
     payload: &[u8],
     records: u32,
@@ -149,15 +158,77 @@ pub fn decode_chunk(
 ) -> Result<(), TraceDecodeError> {
     out.clear();
     out.reserve(records as usize);
-    let mut slice = payload;
+    let mut pos = 0usize;
     let mut prev_pc = 0u64;
     for _ in 0..records {
-        out.push(decode_record(&mut slice, &mut prev_pc)?);
+        let Some(&flags) = payload.get(pos) else {
+            return Err(TraceDecodeError::Corrupt("truncated record"));
+        };
+        pos += 1;
+        let tl_index = (flags & TL_MASK) as usize;
+        if tl_index >= TrapLevel::COUNT {
+            return Err(TraceDecodeError::Corrupt("invalid trap level"));
+        }
+        if flags & HAS_BRANCH == 0 && flags & !TL_MASK != 0 {
+            return Err(TraceDecodeError::Corrupt("branch bits on non-branch"));
+        }
+        let (delta, at) = next_varint(payload, pos)?;
+        pos = at;
+        let pc = prev_pc.wrapping_add(unzigzag(delta) as u64);
+        prev_pc = pc;
+        let branch = if flags & HAS_BRANCH != 0 {
+            let kind = kind_from_bits((flags & KIND_MASK) >> KIND_SHIFT)?;
+            let (target, at) = next_varint(payload, pos)?;
+            pos = at;
+            let taken_target = pc.wrapping_add(unzigzag(target) as u64);
+            let fall_through = if flags & IMPLICIT_FALL_THROUGH != 0 {
+                pc.wrapping_add(INSTR_BYTES)
+            } else {
+                let (fall, at) = next_varint(payload, pos)?;
+                pos = at;
+                pc.wrapping_add(unzigzag(fall) as u64)
+            };
+            Some(BranchInfo {
+                kind,
+                taken: flags & TAKEN != 0,
+                taken_target: Address::new(taken_target),
+                fall_through: Address::new(fall_through),
+            })
+        } else {
+            None
+        };
+        out.push(RetiredInstr {
+            pc: Address::new(pc),
+            trap_level: TrapLevel::from_index(tl_index),
+            branch,
+        });
     }
-    if !slice.is_empty() {
+    if pos != payload.len() {
         return Err(TraceDecodeError::Corrupt("trailing chunk bytes"));
     }
     Ok(())
+}
+
+/// Reads the varint at `payload[pos..]`, returning it with the position
+/// just past it: one-byte values inline, anything else through
+/// [`long_varint`]. Taking and returning `pos` by value keeps the cursor
+/// in a register.
+#[inline(always)]
+fn next_varint(payload: &[u8], pos: usize) -> Result<(u64, usize), TraceDecodeError> {
+    match payload.get(pos) {
+        Some(&byte) if byte < 0x80 => Ok((byte as u64, pos + 1)),
+        _ => long_varint(payload, pos),
+    }
+}
+
+/// Multi-byte, truncated or malformed varints: [`read_varint`] on the
+/// rest of the payload, so every error is the one it reports.
+#[cold]
+#[inline(never)]
+fn long_varint(payload: &[u8], pos: usize) -> Result<(u64, usize), TraceDecodeError> {
+    let mut rest = &payload[pos..];
+    let value = read_varint(&mut rest)?;
+    Ok((value, payload.len() - rest.len()))
 }
 
 #[cfg(test)]
@@ -222,6 +293,57 @@ mod tests {
             fall_through: Address::new(0x9999),
         };
         round_trip(&[RetiredInstr::branch(Address::new(0x100), TrapLevel::Tl1, b)]);
+    }
+
+    /// `decode_chunk` reports the error `decode_record` reports for each
+    /// kind of damage, including records damaged twice over, where only
+    /// the order of the checks decides which error wins.
+    #[test]
+    fn chunk_errors_match_decode_record() {
+        let bad_kind = HAS_BRANCH | (5 << KIND_SHIFT);
+        let cases: &[(&[u8], &str)] = &[
+            (&[], "truncated record"),
+            // Bad trap level beats branch bits on a non-branch.
+            (&[0b0000_0011 | TAKEN, 0x00], "invalid trap level"),
+            // Branch bits on a non-branch beat a missing PC varint.
+            (&[TAKEN], "branch bits on non-branch"),
+            (&[TAKEN, 0x80], "branch bits on non-branch"),
+            // A missing PC varint beats an unknown branch kind.
+            (&[bad_kind], "truncated varint"),
+            (&[bad_kind, 0x00], "unknown branch kind"),
+            (&[0x00, 0x80], "truncated varint"),
+            (
+                &[
+                    0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02,
+                ],
+                "varint overflows u64",
+            ),
+            (
+                &[
+                    0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+                ],
+                "varint too long",
+            ),
+            (&[HAS_BRANCH, 0x00], "truncated varint"),
+            (&[HAS_BRANCH, 0x00, 0x00], "truncated varint"),
+            (&[0x00, 0x00, 0x00], "trailing chunk bytes"),
+        ];
+        let mut out = Vec::new();
+        for &(payload, msg) in cases {
+            let expected = Err(TraceDecodeError::Corrupt(msg));
+            let mut data = payload;
+            let mut prev = 0;
+            let reference = match decode_record(&mut data, &mut prev) {
+                Ok(_) if !data.is_empty() => Err(TraceDecodeError::Corrupt("trailing chunk bytes")),
+                other => other.map(|_| ()),
+            };
+            assert_eq!(reference, expected, "reference on {payload:02x?}");
+            assert_eq!(
+                decode_chunk(payload, 1, &mut out),
+                expected,
+                "kernel on {payload:02x?}"
+            );
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@
 //!
 //! [`TraceReader::instrs`] yields an `Iterator<Item = RetiredInstr>`,
 //! which implements `pif_types::InstrSource`; feed it to
-//! `pif_sim::Engine::run_source` to simulate a trace far larger than RAM:
+//! `pif_sim::Engine::run` to simulate a trace far larger than RAM:
 //!
 //! ```
 //! use pif_trace::{TraceReader, TraceWriter};
@@ -451,9 +451,15 @@ mod seek_tests {
         w.extend(instrs.iter().copied()).unwrap();
         let bytes = w.finish().unwrap();
         let mut reader = TraceReader::open_indexed(Cursor::new(&bytes)).unwrap();
+        // Chunk first records, last records and the exact end, each
+        // drained both as `Result`s and through `instrs_mut()`.
         for n in [0usize, 1, 127, 128, 129, 500, 767, 999, 1_000] {
             reader.seek_to_record(n as u64).unwrap();
             assert_eq!(collect_rest(&mut reader), instrs[n..], "seek to {n}");
+            reader.seek_to_record(n as u64).unwrap();
+            let mut served = reader.instrs_mut();
+            assert_eq!(served.by_ref().collect::<Vec<_>>(), instrs[n..]);
+            assert!(served.error().is_none());
         }
     }
 
@@ -525,6 +531,37 @@ mod seek_tests {
         bad.seek_to_record(150).unwrap();
         let tail: Vec<_> = bad.instrs_mut().collect();
         assert_eq!(tail, instrs[150..], "seek rebuilds decode state");
+    }
+
+    /// A chunk that fails to decode part-way serves none of the records
+    /// decoded before the bad one, on iteration or on a seek into it:
+    /// the reader stays fused until a seek elsewhere succeeds.
+    #[test]
+    fn mid_chunk_corruption_fuses_the_reader() {
+        let instrs = branchy_trace(200);
+        let mut w = TraceWriter::with_chunk_records(Vec::new(), "r", 32).unwrap();
+        w.extend(instrs.iter().copied()).unwrap();
+        let mut bytes = w.finish().unwrap();
+        // Branch bits without the branch flag on record 31, the first
+        // chunk's last.
+        let mut prefix = Vec::new();
+        let mut prev = 0;
+        for i in &instrs[..31] {
+            crate::format::encode_record(&mut prefix, i, &mut prev);
+        }
+        bytes[(4 + 4 + 4 + 1) + 8 + prefix.len()] = 0b0100_0000;
+        let corrupt = Some(Err(TraceDecodeError::Corrupt("branch bits on non-branch")));
+        let mut reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.next(), corrupt);
+        assert_eq!(reader.next(), None, "iterator fused");
+        assert_eq!(reader.instrs_mut().count(), 0);
+        assert_eq!(
+            reader.seek_to_record(3).err(),
+            Some(TraceDecodeError::Corrupt("branch bits on non-branch"))
+        );
+        assert_eq!(reader.next(), None, "a failed seek fuses the reader");
+        reader.seek_to_record(40).unwrap();
+        assert_eq!(collect_rest(&mut reader), instrs[40..]);
     }
 
     #[test]

@@ -98,36 +98,20 @@ enum State {
     /// Legacy fixed-width records; `remaining` counts down from the
     /// header's declared total.
     V1 { remaining: u64 },
-    /// Chunked stream. Each chunk is batch-decoded on load into a flat,
-    /// reusable scratch (`decoded`); iteration then serves records by
-    /// index. Keeping the varint loop separate from the consumer keeps
-    /// it branch-predictable, and both buffers are reused across chunks
-    /// so steady-state decoding allocates nothing.
+    /// Chunked stream. Each chunk is decoded on load by
+    /// [`decode_chunk`]'s single-cursor loop into the reader's flat
+    /// `decoded` buffer, which the serve path then hands out by index
+    /// without entering this state at all; only a drained chunk comes
+    /// back here. `raw` and `decoded` are reused across chunks and
+    /// seeks, so steady-state decoding allocates nothing.
     V2 {
-        /// Raw payload scratch, reused across chunks.
-        raw: Vec<u8>,
-        /// Batch-decoded records of the current chunk, reused.
-        decoded: Vec<RetiredInstr>,
-        /// Serve cursor into `decoded`.
-        next: usize,
-        records_read: u64,
+        /// Index of `decoded[0]` in the trace, so the records read so
+        /// far are `chunk_first + next`.
+        chunk_first: u64,
         done: bool,
     },
     /// A decode error was reported; the iterator is fused.
     Failed,
-}
-
-impl State {
-    /// Fresh v2 decode state positioned before the first chunk.
-    fn v2_start() -> Self {
-        State::V2 {
-            raw: Vec::new(),
-            decoded: Vec::new(),
-            next: 0,
-            records_read: 0,
-            done: false,
-        }
-    }
 }
 
 /// Streaming reader over a serialized trace (either format version).
@@ -136,7 +120,7 @@ impl State {
 /// error the iterator fuses (yields `None`). Memory use is bounded by one
 /// chunk (v2) or one record (v1) regardless of trace length, which is
 /// what enables out-of-core simulation via
-/// `pif_sim::Engine::run_source`.
+/// `pif_sim::Engine::run`.
 ///
 /// # Example
 ///
@@ -166,6 +150,13 @@ pub struct TraceReader<R: Read> {
     /// Chunk index for random access; built by [`TraceReader::open_indexed`]
     /// or lazily by [`TraceReader::seek_to_record`] (v2 + `Seek` only).
     index: Option<ChunkIndex>,
+    /// Raw v2 payload scratch, reused across chunks.
+    raw: Vec<u8>,
+    /// Decoded records of the current v2 chunk; always empty for v1 and
+    /// once the reader has failed.
+    decoded: Vec<RetiredInstr>,
+    /// Serve cursor into `decoded`.
+    next: usize,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -203,7 +194,14 @@ impl<R: Read> TraceReader<R> {
                 header_bytes + 8,
             )
         } else {
-            (State::v2_start(), None, header_bytes)
+            (
+                State::V2 {
+                    chunk_first: 0,
+                    done: false,
+                },
+                None,
+                header_bytes,
+            )
         };
         Ok(TraceReader {
             source,
@@ -213,6 +211,9 @@ impl<R: Read> TraceReader<R> {
             state,
             data_start,
             index: None,
+            raw: Vec::new(),
+            decoded: Vec::new(),
+            next: 0,
         })
     }
 
@@ -234,7 +235,7 @@ impl<R: Read> TraceReader<R> {
 
     /// Adapts this reader into an iterator of plain [`RetiredInstr`]s
     /// that stops at the first decode error and stashes it for later
-    /// inspection — the shape `Engine::run_source` consumes.
+    /// inspection — the shape `Engine::run` consumes.
     pub fn instrs(self) -> Instrs<R> {
         Instrs {
             reader: self,
@@ -306,52 +307,97 @@ impl<R: Read> TraceReader<R> {
         }))
     }
 
+    /// Loads the next v2 chunk once `decoded` is drained and serves its
+    /// first record, or verifies the terminator at the end.
     fn next_v2(&mut self) -> Result<Option<RetiredInstr>, TraceDecodeError> {
-        let State::V2 {
-            raw,
-            decoded,
-            next,
-            records_read,
-            done,
-        } = &mut self.state
-        else {
+        let State::V2 { chunk_first, done } = &mut self.state else {
             unreachable!()
         };
         if *done {
             return Ok(None);
         }
-        if *next == decoded.len() {
-            // Current chunk drained: batch-decode the next one (or the
-            // terminator). Corruption anywhere in a chunk therefore
-            // surfaces before any of its records are served.
-            pif_fail::fail_point!("trace.read.chunk", |e: pif_fail::FailError| Err(
-                TraceDecodeError::Io(std::io::Error::other(e.to_string()))
-            ));
-            let records = read_u32(&mut self.source)?;
-            let payload_len = read_u32(&mut self.source)?;
-            if records == 0 {
-                // Terminator: payload is the total record count.
-                if payload_len != 8 {
-                    return Err(TraceDecodeError::Corrupt("malformed terminator"));
-                }
-                let total = read_u64(&mut self.source)?;
-                if total != *records_read {
-                    return Err(TraceDecodeError::Corrupt("record count mismatch"));
-                }
-                *done = true;
-                self.declared = Some(total);
-                return Ok(None);
+        *chunk_first += self.decoded.len() as u64;
+        self.decoded.clear();
+        self.next = 0;
+        pif_fail::fail_point!("trace.read.chunk", |e: pif_fail::FailError| Err(
+            TraceDecodeError::Io(std::io::Error::other(e.to_string()))
+        ));
+        let records = read_u32(&mut self.source)?;
+        let payload_len = read_u32(&mut self.source)?;
+        if records == 0 {
+            // Terminator: payload is the total record count.
+            if payload_len != 8 {
+                return Err(TraceDecodeError::Corrupt("malformed terminator"));
             }
-            validate_chunk_header(records, payload_len)?;
-            raw.resize(payload_len as usize, 0);
-            self.source.read_exact(raw)?;
-            decode_chunk(raw, records, decoded)?;
-            *next = 0;
+            let total = read_u64(&mut self.source)?;
+            if total != *chunk_first {
+                return Err(TraceDecodeError::Corrupt("record count mismatch"));
+            }
+            *done = true;
+            self.declared = Some(total);
+            return Ok(None);
         }
-        let instr = decoded[*next];
-        *next += 1;
-        *records_read += 1;
-        Ok(Some(instr))
+        validate_chunk_header(records, payload_len)?;
+        self.raw.resize(payload_len as usize, 0);
+        self.source.read_exact(&mut self.raw)?;
+        // Corruption anywhere in a chunk surfaces before any of its
+        // records are served.
+        decode_chunk(&self.raw, records, &mut self.decoded)?;
+        self.next = 1;
+        Ok(Some(self.decoded[0]))
+    }
+
+    /// The serve fast path: the next record of the current chunk, or
+    /// `None` at a chunk boundary (and always for v1 or a failed
+    /// reader, whose `decoded` is empty).
+    #[inline(always)]
+    fn buffered(&mut self) -> Option<RetiredInstr> {
+        let instr = *self.decoded.get(self.next)?;
+        self.next += 1;
+        Some(instr)
+    }
+
+    /// The slow path behind [`TraceReader::buffered`]: decodes the next
+    /// v1 record or v2 chunk, fusing the reader on the first error.
+    fn next_slow(&mut self) -> Option<Result<RetiredInstr, TraceDecodeError>> {
+        let result = match &self.state {
+            State::V1 { .. } => self.next_v1(),
+            State::V2 { .. } => self.next_v2(),
+            State::Failed => return None,
+        };
+        match result {
+            Ok(Some(instr)) => Some(Ok(instr)),
+            Ok(None) => None,
+            Err(e) => {
+                self.fail();
+                Some(Err(e))
+            }
+        }
+    }
+
+    /// Fuses the reader: drops any decoded records so the fast path
+    /// serves nothing more.
+    fn fail(&mut self) {
+        self.state = State::Failed;
+        self.decoded.clear();
+        self.next = 0;
+    }
+
+    /// Next record for [`Instrs`] and [`InstrsMut`]: the error that
+    /// stops iteration goes to `error` instead of being yielded (the
+    /// reader is then fused, so nothing follows it).
+    #[inline(always)]
+    fn next_or_stash(&mut self, error: &mut Option<TraceDecodeError>) -> Option<RetiredInstr> {
+        if let Some(instr) = self.buffered() {
+            return Some(instr);
+        }
+        match self.next_slow()? {
+            Ok(instr) => Some(instr),
+            Err(e) => {
+                *error = Some(e);
+                None
+            }
+        }
     }
 
     /// The chunk index, when one has been built — by
@@ -437,8 +483,16 @@ impl<R: Read + Seek> TraceReader<R> {
             total_records: records,
         });
         self.source.seek(SeekFrom::Start(self.data_start))?;
-        self.state = State::v2_start();
+        self.position_v2(0, false);
         Ok(())
+    }
+
+    /// Resets v2 serve state to just before record `chunk_first`, with
+    /// no chunk loaded; the buffers keep their capacity.
+    fn position_v2(&mut self, chunk_first: u64, done: bool) {
+        self.state = State::V2 { chunk_first, done };
+        self.decoded.clear();
+        self.next = 0;
     }
 
     /// As [`TraceReader::open_indexed`] but installing a previously built
@@ -484,14 +538,17 @@ impl<R: Read + Seek> TraceReader<R> {
     /// rewinds and linearly skips `n` records.
     ///
     /// Seeking also recovers a reader whose previous iteration failed,
-    /// since all decode state is rebuilt.
+    /// since all decode state is rebuilt. The reader's buffers are
+    /// reused, so a seek allocates nothing once a chunk has been loaded.
     ///
     /// # Errors
     ///
     /// [`TraceDecodeError::SeekPastEnd`] when `n` exceeds the total
     /// record count, I/O errors from seeking, and corruption in the
     /// chunk holding `n` (or, for v1, anywhere in the first `n`
-    /// records).
+    /// records). `SeekPastEnd` leaves the reader untouched; an error
+    /// while loading the chunk holding `n` fuses it until a later seek
+    /// succeeds.
     pub fn seek_to_record(&mut self, n: u64) -> Result<(), TraceDecodeError> {
         if self.version == VERSION_V1 {
             return self.seek_v1(n);
@@ -511,32 +568,30 @@ impl<R: Read + Seek> TraceReader<R> {
             // Exactly at the end: cleanly exhausted, terminator verified
             // by the index build.
             self.declared = Some(total);
-            self.state = State::V2 {
-                raw: Vec::new(),
-                decoded: Vec::new(),
-                next: 0,
-                records_read: total,
-                done: true,
-            };
+            self.position_v2(total, true);
             return Ok(());
         };
-        self.source.seek(SeekFrom::Start(entry.payload_offset))?;
-        let mut raw = vec![0u8; entry.payload_len as usize];
-        self.source.read_exact(&mut raw)?;
-        // Batch-decode the whole chunk and start serving at `n`'s
-        // intra-chunk offset: deltas chain from the chunk's base, so the
-        // prefix must be decoded anyway (but only this chunk's — every
-        // earlier chunk was skipped wholesale).
-        let mut decoded = Vec::new();
-        decode_chunk(&raw, entry.records, &mut decoded)?;
-        self.state = State::V2 {
-            raw,
-            decoded,
-            next: (n - entry.first_record) as usize,
-            records_read: n,
-            done: false,
-        };
+        // From here on a failure leaves the position undefined, so it
+        // fuses the reader.
+        let loaded = self.load_chunk_at(&entry);
+        if loaded.is_err() {
+            self.fail();
+            return loaded;
+        }
+        self.next = (n - entry.first_record) as usize;
         Ok(())
+    }
+
+    /// Decodes the whole chunk `entry` into `decoded`, reusing the
+    /// reader's buffers: deltas chain from the chunk's base, so the
+    /// prefix before the seek target must be decoded anyway (but only
+    /// this chunk's; every earlier chunk is skipped wholesale).
+    fn load_chunk_at(&mut self, entry: &ChunkEntry) -> Result<(), TraceDecodeError> {
+        self.position_v2(entry.first_record, false);
+        self.source.seek(SeekFrom::Start(entry.payload_offset))?;
+        self.raw.resize(entry.payload_len as usize, 0);
+        self.source.read_exact(&mut self.raw)?;
+        decode_chunk(&self.raw, entry.records, &mut self.decoded)
     }
 
     /// v1 fallback: rewind to the first record and linearly decode-and-
@@ -562,19 +617,11 @@ impl<R: Read + Seek> TraceReader<R> {
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<RetiredInstr, TraceDecodeError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let result = match &self.state {
-            State::V1 { .. } => self.next_v1(),
-            State::V2 { .. } => self.next_v2(),
-            State::Failed => return None,
-        };
-        match result {
-            Ok(Some(instr)) => Some(Ok(instr)),
-            Ok(None) => None,
-            Err(e) => {
-                self.state = State::Failed;
-                Some(Err(e))
-            }
+        match self.buffered() {
+            Some(instr) => Some(Ok(instr)),
+            None => self.next_slow(),
         }
     }
 }
@@ -612,18 +659,9 @@ impl<R: Read> Instrs<R> {
 impl<R: Read> Iterator for Instrs<R> {
     type Item = RetiredInstr;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.reader.next() {
-            Some(Ok(instr)) => Some(instr),
-            Some(Err(e)) => {
-                self.error = Some(e);
-                None
-            }
-            None => None,
-        }
+        self.reader.next_or_stash(&mut self.error)
     }
 }
 
@@ -652,18 +690,9 @@ impl<R: Read> InstrsMut<'_, R> {
 impl<R: Read> Iterator for InstrsMut<'_, R> {
     type Item = RetiredInstr;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.reader.next() {
-            Some(Ok(instr)) => Some(instr),
-            Some(Err(e)) => {
-                self.error = Some(e);
-                None
-            }
-            None => None,
-        }
+        self.reader.next_or_stash(&mut self.error)
     }
 }
 

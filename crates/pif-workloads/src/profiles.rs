@@ -377,7 +377,7 @@ impl WorkloadProfile {
     /// flat no matter how long the trace is. Being an
     /// `Iterator<Item = RetiredInstr>`, the stream is a
     /// `pif_types::InstrSource` and plugs straight into
-    /// `Engine::run_source` and per-core `run_cmp_sources` closures.
+    /// `Engine::run` and per-core `run_cmp_sources` closures.
     pub fn stream(&self, instructions: usize) -> crate::stream::TraceStream {
         crate::stream::TraceStream::spawn(self.clone(), instructions, 0)
     }

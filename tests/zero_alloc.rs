@@ -5,14 +5,17 @@
 //! 2N laps must allocate (nearly) the same number of times: everything the
 //! engine allocates — caches, scratch buffers, predictor tables, queues —
 //! is set up during construction and the first laps, after which the
-//! per-retirement path runs out of fixed-capacity storage.
+//! per-retirement path runs out of fixed-capacity storage. The v2 trace
+//! reader that feeds sampled runs is held to the same standard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Cursor;
 
 use pif_baselines::{NextLinePrefetcher, PerfectICache};
 use pif_core::{Pif, PifConfig};
 use pif_sim::{Engine, EngineConfig, NoPrefetcher, RunOptions};
+use pif_trace::{encode_v2, TraceReader, DEFAULT_CHUNK_RECORDS};
 use pif_types::{Address, RetiredInstr, TrapLevel};
 
 struct CountingAlloc;
@@ -146,5 +149,37 @@ fn multi_lane_steady_state_is_allocation_free() {
         a_short, a_long,
         "multi-lane allocations must not scale with trace length \
          ({a_short} for 4 laps vs {a_long} for 8 laps)"
+    );
+}
+
+/// Once a v2 reader has loaded its first chunk, draining it through
+/// `instrs_mut()` and re-seeking it (the loop sampled simulation runs
+/// once per window) reuse the reader's payload and record buffers and
+/// allocate nothing. Every chunk here encodes the same 8 Ki-record lap,
+/// so the first chunk sizes both buffers; a chunk whose payload is
+/// longer than any before it would grow the payload buffer once.
+#[test]
+fn v2_decode_steady_state_is_allocation_free() {
+    let chunk = DEFAULT_CHUNK_RECORDS as u64;
+    let lap = (0..chunk).map(|i| RetiredInstr::simple(Address::new(i * 4), TrapLevel::Tl0));
+    let trace: Vec<RetiredInstr> = (0..6).flat_map(|_| lap.clone()).collect();
+    let total = trace.len() as u64;
+    let bytes = encode_v2("sweep", &trace);
+    let mut reader = TraceReader::open_indexed(Cursor::new(bytes.as_slice())).unwrap();
+    assert_eq!(reader.next().unwrap().unwrap(), trace[0]);
+    let allocs = allocs_during(|| {
+        let mut instrs = reader.instrs_mut();
+        assert_eq!(instrs.by_ref().count() as u64, total - 1);
+        assert!(instrs.error().is_none());
+        for n in [0, 100, chunk - 1, chunk, 3 * chunk + 7, total - 1, total] {
+            reader.seek_to_record(n).unwrap();
+            let mut instrs = reader.instrs_mut();
+            assert_eq!(instrs.by_ref().count() as u64, total - n);
+            assert!(instrs.error().is_none());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "v2 drain and re-seek allocated {allocs} times after the first chunk"
     );
 }
