@@ -14,14 +14,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use pif_sim::cache::AccessOutcome;
 use pif_sim::{PrefetchContext, Prefetcher};
 use pif_types::{BlockAddr, FetchAccess};
 
 /// TIFS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TifsConfig {
     /// Miss-history capacity in block addresses; `None` = unbounded (the
     /// paper's "without history storage limitations" comparison, §5.5).

@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+use pif_types::hash::mix64;
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
 
 use crate::cfg::{Cfg, Terminator};
@@ -125,14 +126,6 @@ pub struct Walker {
     saved: Option<SavedContext>,
     handler_left: u64,
     until_interrupt: u64,
-}
-
-/// SplitMix64 finaliser: the per-branch bias hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Geometric inter-arrival sample with the given mean (>= 1).

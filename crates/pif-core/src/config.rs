@@ -1,12 +1,10 @@
 //! PIF configuration.
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::{ConfigError, RegionGeometry};
 
 /// Configuration of the PIF hardware structures, defaulting to the paper's
 /// chosen design points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PifConfig {
     /// Spatial region geometry (paper default: 2 preceding, 5 succeeding —
     /// 8 blocks, Fig. 8).

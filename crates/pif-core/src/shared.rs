@@ -27,9 +27,7 @@
 //! drop((core0, core1));
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use pif_sim::cache::AccessOutcome;
 use pif_sim::{PrefetchContext, Prefetcher};
@@ -95,7 +93,11 @@ impl SharedPifStorage {
         } else {
             0
         };
-        self.levels[idx].read().history.len()
+        self.levels[idx]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .history
+            .len()
     }
 }
 
@@ -169,7 +171,9 @@ impl Prefetcher for SharedPif {
 
         // Advance active streams under a read lock.
         {
-            let shared = self.storage.levels[level].read();
+            let shared = self.storage.levels[level]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
             if self.sabs.advance(
                 level,
                 block,
@@ -190,7 +194,9 @@ impl Prefetcher for SharedPif {
         // Open a new stream: index lookup mutates LRU state, so take the
         // write lock.
         {
-            let mut shared = self.storage.levels[level].write();
+            let mut shared = self.storage.levels[level]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             let Some(pos) = shared.index.lookup(block) else {
                 return;
             };
@@ -224,7 +230,9 @@ impl Prefetcher for SharedPif {
         let Some(admitted) = local.temporal.filter(finished) else {
             return;
         };
-        let mut shared = self.storage.levels[level].write();
+        let mut shared = self.storage.levels[level]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let pos = shared
             .history
             .append(admitted.record, admitted.trigger_not_prefetched);

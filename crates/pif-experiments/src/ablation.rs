@@ -10,14 +10,12 @@
 //! * **multiple SABs** (§4.3) — a single prediction stream;
 //! * **preceding blocks** (§5.2) — regions skewed strictly forward.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 pub use pif_lab::registry::AblationVariant as Variant;
 
 /// Coverage of each variant on each workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Workload name.
     pub workload: String,

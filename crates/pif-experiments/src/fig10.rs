@@ -2,12 +2,10 @@
 //! speedup over the no-prefetch baseline (right) for Next-Line, TIFS, PIF
 //! and a perfect L1-I.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, speedup, Scale, Table};
 
 /// One workload's competitive results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10Row {
     /// Workload name.
     pub workload: String,
@@ -112,7 +110,7 @@ pub fn speedup_table(rows: &[Fig10Row]) -> Table {
 
 /// Geometric-mean speedups across workloads (the paper reports averages:
 /// PIF 27%, Perfect 29%).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupSummary {
     /// Next-line mean speedup.
     pub next_line: f64,

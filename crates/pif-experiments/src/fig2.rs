@@ -2,12 +2,10 @@
 //! when recording temporal streams at each observation point (Miss,
 //! Access, Retire, RetireSep).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 /// One workload's coverage at the four observation points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Row {
     /// Workload name.
     pub workload: String,

@@ -4,14 +4,12 @@
 //! The characterization uses wide regions (up to 32 blocks, per the
 //! figure's 17-32 bucket) over the application (TL0) retire stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 pub use pif_lab::registry::{DENSITY_BUCKETS, RUN_BUCKETS};
 
 /// One workload's spatial-region characterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Row {
     /// Workload name.
     pub workload: String,

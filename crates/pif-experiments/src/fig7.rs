@@ -2,14 +2,12 @@
 //! number of correct predictions made by the corresponding stream —
 //! demonstrating the need for deep history storage (§5.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 pub use pif_lab::registry::JUMP_CDF_BUCKETS as BUCKETS;
 
 /// One workload's weighted jump-distance CDF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Workload name.
     pub workload: String,

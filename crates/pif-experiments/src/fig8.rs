@@ -1,15 +1,13 @@
 //! Figure 8: distribution of accesses around the trigger block (left) and
 //! spatial region size sensitivity at trap levels 0 and 1 (right).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 pub use pif_lab::registry::FIG8_REGION_SIZES as REGION_SIZES;
 pub use pif_lab::registry::REGION_OFFSETS as OFFSETS;
 
 /// Left chart: one workload class's access-frequency-by-offset profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffsetRow {
     /// Workload name.
     pub workload: String,
@@ -18,7 +16,7 @@ pub struct OffsetRow {
 }
 
 /// Right chart: coverage by region size and trap level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeRow {
     /// Workload name.
     pub workload: String,

@@ -1,15 +1,13 @@
 //! Figure 9: temporal stream length contribution to prediction (left) and
 //! history size sensitivity (right).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 pub use pif_lab::registry::FIG9_HISTORY_SIZES as HISTORY_SIZES;
 pub use pif_lab::registry::LENGTH_CDF_BUCKETS as LENGTH_BUCKETS;
 
 /// Left chart: correct predictions by stream length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LengthRow {
     /// Workload name.
     pub workload: String,
@@ -25,7 +23,7 @@ impl LengthRow {
 }
 
 /// Right chart: predictor coverage at one history size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryRow {
     /// Workload name.
     pub workload: String,

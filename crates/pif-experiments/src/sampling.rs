@@ -6,12 +6,10 @@
 //! error" from SimFlex-style sampling; this figure shows what buying
 //! that confidence costs in samples on the reproduction's workloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{pct, Scale, Table};
 
 /// One (workload, sample-count) point of the sampling study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingRow {
     /// Workload name.
     pub workload: String,

@@ -60,6 +60,7 @@ use pif_lab::{
     protocol, registry, report, run_spec_profiled, run_spec_stats, ResultCache, RunOptions, Scale,
     SweepReport,
 };
+use pif_types::hash::{mix64, SPLITMIX_GAMMA};
 
 /// One dispatch-table row: verb, usage line, handler.
 type Command = (&'static str, &'static str, fn(&[String]) -> ExitCode);
@@ -759,12 +760,8 @@ fn attempt_is_retryable(failure: &SubmitFailure, frame_retryable: bool) -> bool 
 /// (seed, attempt) so tests are reproducible.
 fn backoff_delay(base_ms: u64, attempt: u32, seed: u64) -> Duration {
     let exp = base_ms.saturating_mul(1u64 << attempt.min(10));
-    let mut z = seed
-        .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    // The SplitMix64 stream seeded by `seed`, at position `attempt`.
+    let z = mix64(seed.wrapping_add(u64::from(attempt).wrapping_mul(SPLITMIX_GAMMA)));
     let half = exp / 2;
     Duration::from_millis(half + z % (half.max(1) + 1))
 }

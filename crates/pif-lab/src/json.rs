@@ -287,20 +287,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
+/// Escapes a string for embedding in a JSON document (see
+/// [`pif_obs::escape_json`]).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    pif_obs::escape_json(s, &mut out);
     out
 }
 

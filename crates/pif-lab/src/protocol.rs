@@ -35,7 +35,8 @@
 //! (0 when the failure predates parsing an id). An `error` response to a
 //! `submit` naming an unknown spec additionally carries the registry's
 //! spec names in `"candidates"`, so clients can print the same hint
-//! `piflab run` prints locally.
+//! `piflab run` prints locally. A `submit` whose `scale` no sweep can
+//! run (see [`MAX_WIRE_INSTRUCTIONS`]) gets a `bad_request` error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -465,16 +466,36 @@ fn scale_json(scale: &Scale) -> String {
     )
 }
 
+/// The largest `scale.instructions` a `submit` frame may ask for: over
+/// 5x [`Scale::paper`]'s 12M, and small enough that no frame can make a
+/// slice-consuming measure exhaust memory.
+pub const MAX_WIRE_INSTRUCTIONS: usize = 64_000_000;
+
+/// Reads a `submit` frame's scale, refusing values no sweep can run:
+/// `instructions` must be a whole number in `1..=`[`MAX_WIRE_INSTRUCTIONS`],
+/// `footprint` in `(0, 1]` and `warmup_fraction` in `[0, 1)`. NaN and
+/// infinities fail every range.
 fn parse_scale(j: &Json) -> Result<Scale, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        j.get(key)
+    let f = |key: &str, valid: fn(f64) -> bool, range: &str| -> Result<f64, String> {
+        let v = j
+            .get(key)
             .and_then(Json::as_f64)
-            .ok_or_else(|| format!("scale missing numeric {key:?}"))
+            .ok_or_else(|| format!("scale missing numeric {key:?}"))?;
+        if valid(v) {
+            Ok(v)
+        } else {
+            Err(format!("scale {key:?} must be {range}, got {v}"))
+        }
     };
+    let instructions = f(
+        "instructions",
+        |v| v.fract() == 0.0 && (1.0..=MAX_WIRE_INSTRUCTIONS as f64).contains(&v),
+        &format!("a whole number in 1..={MAX_WIRE_INSTRUCTIONS}"),
+    )?;
     Ok(Scale {
-        instructions: f("instructions")? as usize,
-        footprint: f("footprint")?,
-        warmup_fraction: f("warmup_fraction")?,
+        instructions: instructions as usize,
+        footprint: f("footprint", |v| v > 0.0 && v <= 1.0, "in (0, 1]")?,
+        warmup_fraction: f("warmup_fraction", |v| (0.0..1.0).contains(&v), "in [0, 1)")?,
     })
 }
 
@@ -711,6 +732,20 @@ mod tests {
                 smoke: false,
                 deadline_ms: Some(30_000),
             },
+            Request::Submit {
+                id: 42,
+                spec: "fig10".to_string(),
+                scale: Scale::quick(),
+                smoke: false,
+                deadline_ms: None,
+            },
+            Request::Submit {
+                id: 43,
+                spec: "fig10".to_string(),
+                scale: Scale::paper(),
+                smoke: false,
+                deadline_ms: None,
+            },
         ];
         for r in reqs {
             let line = r.to_line();
@@ -852,5 +887,64 @@ mod tests {
         assert!(
             Request::parse(&format!("{{\"proto\": \"{PROTO}\", \"cmd\": \"dance\"}}")).is_err()
         );
+    }
+    fn submit_with_scale(instructions: &str, footprint: &str, warmup_fraction: &str) -> String {
+        format!(
+            "{{\"proto\": \"{PROTO}\", \"cmd\": \"submit\", \"spec\": \"table1\", \
+             \"scale\": {{\"instructions\": {instructions}, \"footprint\": {footprint}, \
+             \"warmup_fraction\": {warmup_fraction}}}}}"
+        )
+    }
+
+    fn assert_bad_request(line: &str) {
+        let service = Service::start(crate::service::ServiceConfig {
+            threads: 1,
+            cache_dir: None,
+            ..Default::default()
+        });
+        let response = handle_request(line, &service, &AtomicBool::new(false));
+        service.shutdown();
+        match response {
+            Response::Error {
+                kind, retryable, ..
+            } => {
+                assert_eq!(kind, "bad_request", "{line}");
+                assert!(!retryable);
+            }
+            other => panic!("expected bad_request for {line}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_scale_is_a_bad_request() {
+        // JSON has no NaN: a client's NaN footprint goes out as `null`.
+        let mut scale = Scale::tiny();
+        scale.footprint = f64::NAN;
+        let line = Request::Submit {
+            id: 1,
+            spec: "table1".to_string(),
+            scale,
+            smoke: true,
+            deadline_ms: None,
+        }
+        .to_line();
+        assert_bad_request(&line);
+        // And the range checks refuse a NaN that does reach them.
+        let j = Json::Obj(vec![
+            ("instructions".to_string(), Json::Num(40_000.0)),
+            ("footprint".to_string(), Json::Num(0.03)),
+            ("warmup_fraction".to_string(), Json::Num(f64::NAN)),
+        ]);
+        assert!(parse_scale(&j).unwrap_err().contains("warmup_fraction"));
+    }
+
+    #[test]
+    fn negative_scale_is_a_bad_request() {
+        assert_bad_request(&submit_with_scale("40000", "-0.5", "0.3"));
+    }
+
+    #[test]
+    fn huge_instruction_count_is_a_bad_request() {
+        assert_bad_request(&submit_with_scale("1e18", "0.03", "0.3"));
     }
 }

@@ -1,6 +1,6 @@
 //! Exposition: renders a [`Registry`] as Prometheus text or JSON.
 //!
-//! Both renderers are hand-rolled (no serde) and deterministic for a
+//! Both renderers are hand-rolled and deterministic for a
 //! fixed snapshot: metrics appear in registration order, histogram
 //! buckets in ascending bound order. [`validate_prometheus`] is the
 //! other half of the contract — CI scrapes the daemon's `metrics` verb
@@ -47,7 +47,10 @@ pub fn render_prometheus(registry: &Registry) -> String {
     out
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped for a JSON string literal: `"`, `\\`
+/// and the C0 controls (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`). The workspace's one JSON string escaper.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -33,7 +33,7 @@ pub mod expose;
 pub mod log;
 pub mod metrics;
 
-pub use expose::{render_json, render_prometheus, validate_prometheus};
+pub use expose::{escape_json, render_json, render_prometheus, validate_prometheus};
 pub use log::Level;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, MetricValue,

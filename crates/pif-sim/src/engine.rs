@@ -145,9 +145,8 @@ impl Engine {
     ///
     /// This is the one-prefetcher case of the engine's single loop,
     /// [`EngineRun`] (see [`Engine::start`]), with the prefetcher's
-    /// [`EngineState`] receiving front-end events by direct dispatch;
-    /// `run_instrs*` and `run_source*` are thin deprecated wrappers over
-    /// it. Because instructions are *pulled* one at a time, the trace
+    /// [`EngineState`] receiving front-end events by direct dispatch.
+    /// Because instructions are *pulled* one at a time, the trace
     /// never has to exist in memory: pass a `pif_trace::TraceReader`'s
     /// instruction iterator to simulate a multi-hundred-million-
     /// instruction file out of core, a `pif_workloads` stream to simulate
@@ -282,99 +281,6 @@ impl Engine {
             warmup_instrs: options.warmup_instrs,
             retired: 0,
         }
-    }
-
-    /// Runs `trace` with `prefetcher` attached and returns the report.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(source, prefetcher, RunOptions::new())`"
-    )]
-    pub fn run_instrs<P: Prefetcher>(&self, trace: &[RetiredInstr], prefetcher: P) -> RunReport {
-        self.run(trace.iter().copied(), prefetcher, RunOptions::new())
-    }
-
-    /// Slice run with a warmup prefix.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(source, prefetcher, RunOptions::new().warmup(n))`"
-    )]
-    pub fn run_instrs_warmup<P: Prefetcher>(
-        &self,
-        trace: &[RetiredInstr],
-        prefetcher: P,
-        warmup_instrs: usize,
-    ) -> RunReport {
-        self.run(
-            trace.iter().copied(),
-            prefetcher,
-            RunOptions::new().warmup(warmup_instrs),
-        )
-    }
-
-    /// Streaming run without warmup.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(source, prefetcher, RunOptions::new())`"
-    )]
-    pub fn run_source<P: Prefetcher, S: InstrSource>(&self, source: S, prefetcher: P) -> RunReport {
-        self.run(source, prefetcher, RunOptions::new())
-    }
-
-    /// Streaming run with a warmup prefix.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(source, prefetcher, RunOptions::new().warmup(n))`"
-    )]
-    pub fn run_source_warmup<P: Prefetcher, S: InstrSource>(
-        &self,
-        source: S,
-        prefetcher: P,
-        warmup_instrs: usize,
-    ) -> RunReport {
-        self.run(source, prefetcher, RunOptions::new().warmup(warmup_instrs))
-    }
-
-    /// Streaming run driving an existing front end.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(source, prefetcher, RunOptions::new().warmup(n).frontend(fe))`"
-    )]
-    pub fn run_source_with_frontend<P: Prefetcher, S: InstrSource>(
-        &self,
-        source: S,
-        prefetcher: P,
-        warmup_instrs: usize,
-        frontend: &mut FrontEnd,
-    ) -> RunReport {
-        self.run(
-            source,
-            prefetcher,
-            RunOptions::new().warmup(warmup_instrs).frontend(frontend),
-        )
-    }
-
-    /// Slice-convenience run with a warmup prefix.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run(trace.as_ref().iter().copied(), prefetcher, RunOptions::new().warmup(n))`"
-    )]
-    pub fn run_warmup<P: Prefetcher, T: AsRef<[RetiredInstr]>>(
-        &self,
-        trace: &T,
-        prefetcher: P,
-        warmup_instrs: usize,
-    ) -> RunReport {
-        self.run(
-            trace.as_ref().iter().copied(),
-            prefetcher,
-            RunOptions::new().warmup(warmup_instrs),
-        )
     }
 }
 
@@ -982,54 +888,6 @@ mod tests {
         let report = engine.run(&mut source, NoPrefetcher, RunOptions::new());
         assert_eq!(report.frontend.instructions, trace.len() as u64);
         assert_eq!(source.next(), None, "source fully drained");
-    }
-
-    /// Every deprecated wrapper must stay bit-equivalent to the collapsed
-    /// [`Engine::run`] entry point it forwards to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_run() {
-        let trace = loop_trace(256, 6);
-        let engine = Engine::new(EngineConfig::paper_default());
-        let warm = trace.len() / 3;
-        let eq = |a: &RunReport, b: &RunReport| {
-            assert_eq!(a.fetch, b.fetch);
-            assert_eq!(a.timing, b.timing);
-            assert_eq!(a.frontend, b.frontend);
-            assert_eq!((a.l2_hits, a.l2_misses), (b.l2_hits, b.l2_misses));
-        };
-        let plain = engine.run(trace.iter().copied(), NoPrefetcher, RunOptions::new());
-        eq(&plain, &engine.run_instrs(&trace, NoPrefetcher));
-        eq(
-            &plain,
-            &engine.run_source(trace.iter().copied(), NoPrefetcher),
-        );
-        let warmed = engine.run(
-            trace.iter().copied(),
-            NoPrefetcher,
-            RunOptions::new().warmup(warm),
-        );
-        eq(
-            &warmed,
-            &engine.run_instrs_warmup(&trace, NoPrefetcher, warm),
-        );
-        eq(
-            &warmed,
-            &engine.run_source_warmup(trace.iter().copied(), NoPrefetcher, warm),
-        );
-        eq(&warmed, &engine.run_warmup(&trace, NoPrefetcher, warm));
-        let mut fe = FrontEnd::new(engine.config().frontend);
-        let with_fe =
-            engine.run_source_with_frontend(trace.iter().copied(), NoPrefetcher, warm, &mut fe);
-        let mut fe2 = FrontEnd::new(engine.config().frontend);
-        eq(
-            &with_fe,
-            &engine.run(
-                trace.iter().copied(),
-                NoPrefetcher,
-                RunOptions::new().warmup(warm).frontend(&mut fe2),
-            ),
-        );
     }
 
     #[test]

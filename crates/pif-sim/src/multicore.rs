@@ -8,8 +8,6 @@
 //! configuration, so the driver runs one engine per core in parallel and
 //! aggregates.
 
-use parking_lot::Mutex;
-
 use pif_types::{InstrSource, RetiredInstr};
 
 use crate::config::EngineConfig;
@@ -215,31 +213,26 @@ where
 {
     assert!(cores > 0, "CMP needs at least one core");
     let engine = Engine::new(*config);
-    let results: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; cores]);
-    std::thread::scope(|s| {
-        for core in 0..cores {
-            let engine = &engine;
-            let results = &results;
-            let source_for = &source_for;
-            let prefetcher_for = &prefetcher_for;
-            s.spawn(move || {
-                let source = source_for(core);
-                let report = engine.run(
-                    source,
-                    prefetcher_for(core),
-                    RunOptions::new().warmup(warmup_instrs),
-                );
-                results.lock()[core] = Some(report);
-            });
-        }
-    });
-    CmpReport {
-        per_core: results
-            .into_inner()
+    // Spawn every core before joining any, then join in core order.
+    let per_core = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cores)
+            .map(|core| {
+                let (engine, source_for, prefetcher_for) = (&engine, &source_for, &prefetcher_for);
+                s.spawn(move || {
+                    engine.run(
+                        source_for(core),
+                        prefetcher_for(core),
+                        RunOptions::new().warmup(warmup_instrs),
+                    )
+                })
+            })
+            .collect();
+        handles
             .into_iter()
-            .map(|r| r.expect("core completed"))
-            .collect(),
-    }
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    CmpReport { per_core }
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::{BlockAddr, RetiredInstr, TrapLevel};
 
 use crate::cache::{AccessOutcome, InstructionCache};
@@ -18,7 +16,7 @@ use crate::frontend::{FrontEnd, FrontendEvent};
 use crate::streams::{BlockDedup, StreamPoint};
 
 /// Tuning of the idealized temporal-stream predictor used in the §2 study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalPredictorConfig {
     /// Lookahead window for access/retire-order streams: how many upcoming
     /// recorded blocks an active stream exposes for matching. These
@@ -249,7 +247,7 @@ impl TemporalStreamPredictor {
 
 /// Coverage of correct-path L1-I misses at each observation point
 /// (Figure 2's four bars), plus the denominators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamCoverageReport {
     /// Coverage when predicting the miss stream.
     pub miss: f64,

@@ -28,6 +28,7 @@
 
 use std::path::Path;
 
+use pif_types::hash::splitmix64;
 use pif_types::{InstrSource, RetiredInstr};
 
 use crate::config::EngineConfig;
@@ -263,17 +264,6 @@ impl SamplingPlan {
             })
             .collect()
     }
-}
-
-/// SplitMix64: a tiny, high-quality deterministic stream for window
-/// placement (no dependency on the `rand` shim, so plans are stable even
-/// if the workspace RNG changes).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One resolved sample window, in record indices of the underlying trace.

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use pif_types::BlockAddr;
 
 /// Where in the pipeline an instruction stream is recorded (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamPoint {
     /// The L1-I *miss* stream: filtered and fragmented by the cache
     /// (§2.1), and polluted by wrong-path misses.

@@ -25,26 +25,8 @@
 
 use pif_types::{BranchKind, RetiredInstr};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a 64 accumulator.
-#[inline]
-pub fn fnv1a_64(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc ^= u64::from(b);
-        acc = acc.wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
-
-/// One-shot FNV-1a 64 of a byte string, from the standard offset basis.
-#[inline]
-pub fn fnv1a_64_once(bytes: &[u8]) -> u64 {
-    fnv1a_64(FNV_OFFSET, bytes)
-}
+use pif_types::hash::FNV_OFFSET;
+pub use pif_types::hash::{fnv1a_64, fnv1a_64_once};
 
 /// Streaming content hasher over retired-instruction records.
 ///

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Log2 of the instruction-cache block size in bytes (64 B blocks, Table I).
 pub const BLOCK_SHIFT: u32 = 6;
 
@@ -25,9 +23,7 @@ pub const BLOCK_SIZE: usize = 1 << BLOCK_SHIFT;
 /// assert_eq!(a.offset(16).raw(), 0x1010);
 /// assert_eq!(a.block().base(), Address::new(0x1000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(u64);
 
 impl Address {
@@ -104,9 +100,7 @@ impl fmt::LowerHex for Address {
 /// assert_eq!(b.next().number(), 0x42);
 /// assert_eq!(b.signed_distance(b.next()), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {

@@ -17,6 +17,8 @@
 //!   of a group of spatially-close instruction blocks (paper §3, §4.1).
 //! * [`InstrSource`] — a pull-based stream of retired instructions, the
 //!   abstraction that lets the engine simulate traces larger than RAM.
+//! * [`hash`] — FNV-1a 64 and SplitMix64, the one home of the hash and
+//!   seed primitives every other crate uses.
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@
 
 mod address;
 mod error;
+pub mod hash;
 mod record;
 mod region;
 mod source;

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BlockAddr, ConfigError};
 
 /// Geometry of a spatial region: how many blocks before and after the
@@ -25,7 +23,7 @@ use crate::{BlockAddr, ConfigError};
 /// assert!(g.contains_offset(-2) && g.contains_offset(5));
 /// assert!(!g.contains_offset(-3) && !g.contains_offset(6));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionGeometry {
     preceding: u8,
     succeeding: u8,
@@ -160,7 +158,7 @@ impl Default for RegionGeometry {
 ///
 /// Always interpreted relative to a [`RegionGeometry`]; the trigger block is
 /// implicit (always accessed) and has no bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RegionBits(u32);
 
 impl RegionBits {
@@ -266,7 +264,7 @@ impl fmt::Display for RegionBits {
 /// let blocks: Vec<u64> = r.blocks_in_order(g).map(|b| b.number()).collect();
 /// assert_eq!(blocks, vec![99, 100, 101]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpatialRegionRecord {
     /// Block address of the trigger (first accessed) block of the region.
     pub trigger: BlockAddr,

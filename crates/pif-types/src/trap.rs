@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// SPARC-style processor trap level of a retired instruction.
 ///
 /// The paper (§2.3) separates instruction streams by trap level so that
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(TrapLevel::Tl1.is_interrupt());
 /// assert_eq!(TrapLevel::Tl1.index(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum TrapLevel {
     /// Trap level 0: ordinary application and system-call execution.
     #[default]

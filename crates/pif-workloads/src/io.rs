@@ -22,8 +22,6 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 pub use pif_trace::{TraceDecodeError, TraceErrorKind};
 
 use pif_types::{Address, BranchInfo, BranchKind, RetiredInstr, TrapLevel};
@@ -69,28 +67,48 @@ fn kind_from_byte(b: u8) -> Result<BranchKind, TraceDecodeError> {
 /// let back = decode_trace(&bytes).unwrap();
 /// assert_eq!(trace, back);
 /// ```
-pub fn encode_trace(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + trace.name().len() + trace.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(trace.name().len() as u32);
-    buf.put_slice(trace.name().as_bytes());
-    buf.put_u64_le(trace.len() as u64);
+pub fn encode_trace(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + trace.name().len() + trace.len() * 16);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(trace.name().len() as u32).to_le_bytes());
+    buf.extend_from_slice(trace.name().as_bytes());
+    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for instr in trace.instrs() {
-        buf.put_u64_le(instr.pc.raw());
-        buf.put_u8(instr.trap_level.index() as u8);
+        buf.extend_from_slice(&instr.pc.raw().to_le_bytes());
+        buf.push(instr.trap_level.index() as u8);
         match instr.branch {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(info) => {
-                buf.put_u8(1);
-                buf.put_u8(kind_to_byte(info.kind));
-                buf.put_u8(u8::from(info.taken));
-                buf.put_u64_le(info.taken_target.raw());
-                buf.put_u64_le(info.fall_through.raw());
+                buf.extend_from_slice(&[1, kind_to_byte(info.kind), u8::from(info.taken)]);
+                buf.extend_from_slice(&info.taken_target.raw().to_le_bytes());
+                buf.extend_from_slice(&info.fall_through.raw().to_le_bytes());
             }
         }
     }
-    buf.freeze()
+    buf
+}
+
+/// Splits the next `N` bytes off the front of `data`. Callers check the
+/// length first with `need`, so this never runs past the end.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data
+        .split_first_chunk()
+        .expect("length checked before take");
+    *data = rest;
+    *head
+}
+
+fn get_u8(data: &mut &[u8]) -> u8 {
+    take::<1>(data)[0]
+}
+
+fn get_u32_le(data: &mut &[u8]) -> u32 {
+    u32::from_le_bytes(take(data))
+}
+
+fn get_u64_le(data: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(data))
 }
 
 /// Deserializes a trace previously produced by [`encode_trace`].
@@ -101,30 +119,28 @@ pub fn encode_trace(trace: &Trace) -> Bytes {
 /// truncated/corrupt payload.
 pub fn decode_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
     fn need(data: &[u8], n: usize) -> Result<(), TraceDecodeError> {
-        if data.remaining() < n {
+        if data.len() < n {
             return Err(TraceDecodeError::Corrupt("truncated"));
         }
         Ok(())
     }
     need(data, 8)?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<4>(&mut data) != MAGIC {
         return Err(TraceDecodeError::BadMagic);
     }
-    let version = data.get_u32_le();
+    let version = get_u32_le(&mut data);
     if version != VERSION {
         return Err(TraceDecodeError::BadVersion(version));
     }
     need(data, 4)?;
-    let name_len = data.get_u32_le() as usize;
+    let name_len = get_u32_le(&mut data) as usize;
     need(data, name_len)?;
-    let mut name_bytes = vec![0u8; name_len];
-    data.copy_to_slice(&mut name_bytes);
-    let name = String::from_utf8(name_bytes)
+    let (name_bytes, rest) = data.split_at(name_len);
+    data = rest;
+    let name = String::from_utf8(name_bytes.to_vec())
         .map_err(|_| TraceDecodeError::Corrupt("name is not UTF-8"))?;
     need(data, 8)?;
-    let count = data.get_u64_le() as usize;
+    let count = get_u64_le(&mut data) as usize;
     // Every record is at least 10 bytes, so a declared count the
     // remaining payload cannot possibly hold is corrupt on its face —
     // fail fast instead of looping toward a truncation error millions of
@@ -133,28 +149,28 @@ pub fn decode_trace(mut data: &[u8]) -> Result<Trace, TraceDecodeError> {
     // line of defense.
     if count
         .checked_mul(MIN_RECORD_BYTES)
-        .is_none_or(|needed| needed > data.remaining())
+        .is_none_or(|needed| needed > data.len())
     {
         return Err(TraceDecodeError::Corrupt("record count exceeds payload"));
     }
     let mut instrs = Vec::with_capacity(count.min(1 << 24));
     for _ in 0..count {
         need(data, 10)?;
-        let pc = Address::new(data.get_u64_le());
-        let tl_byte = data.get_u8();
+        let pc = Address::new(get_u64_le(&mut data));
+        let tl_byte = get_u8(&mut data);
         if tl_byte as usize >= TrapLevel::COUNT {
             return Err(TraceDecodeError::Corrupt("invalid trap level"));
         }
         let trap_level = TrapLevel::from_index(tl_byte as usize);
-        let has_branch = data.get_u8();
+        let has_branch = get_u8(&mut data);
         let branch = match has_branch {
             0 => None,
             1 => {
                 need(data, 18)?;
-                let kind = kind_from_byte(data.get_u8())?;
-                let taken = data.get_u8() != 0;
-                let taken_target = Address::new(data.get_u64_le());
-                let fall_through = Address::new(data.get_u64_le());
+                let kind = kind_from_byte(get_u8(&mut data))?;
+                let taken = get_u8(&mut data) != 0;
+                let taken_target = Address::new(get_u64_le(&mut data));
+                let fall_through = Address::new(get_u64_le(&mut data));
                 Some(BranchInfo {
                     kind,
                     taken,
@@ -247,7 +263,7 @@ mod tests {
         // A header declaring u64::MAX records over an empty payload must
         // be rejected before any decode loop or allocation.
         let t = Trace::new("x", vec![]);
-        let mut bytes = encode_trace(&t).to_vec();
+        let mut bytes = encode_trace(&t);
         let count_offset = bytes.len() - 8;
         bytes[count_offset..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
@@ -281,7 +297,7 @@ mod tests {
             "x",
             vec![RetiredInstr::simple(Address::new(4), TrapLevel::Tl0)],
         );
-        let mut bytes = encode_trace(&t).to_vec();
+        let mut bytes = encode_trace(&t);
         // The trap-level byte of the first record sits after the header.
         let tl_offset = 4 + 4 + 4 + 1 + 8 + 8;
         bytes[tl_offset] = 9;

@@ -16,15 +16,13 @@
 //!   interrupts — the class whose *miss* stream fragments worst (>20%
 //!   coverage loss, Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::executor::Executor;
 use crate::params::GeneratorParams;
 use crate::program::ProgramImage;
 use crate::trace::Trace;
 
 /// Workload class, as grouped in the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Online transaction processing (TPC-C).
     Oltp,
@@ -56,7 +54,7 @@ impl std::fmt::Display for WorkloadClass {
 /// let trace = apache.scaled(0.05).generate(20_000);
 /// assert_eq!(trace.len(), 20_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     name: String,
     class: WorkloadClass,

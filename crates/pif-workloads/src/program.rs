@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use pif_types::{Address, ConfigError};
 
@@ -18,7 +17,7 @@ pub const APP_CODE_BASE: u64 = 0x0010_0000;
 pub const HANDLER_CODE_BASE: u64 = 0x7000_0000;
 
 /// A control-flow site within a function body, keyed by instruction index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Site {
     /// A call site. `callees` holds one function id for direct calls, or a
     /// small set of data-dependent targets for indirect calls.
@@ -50,7 +49,7 @@ pub enum Site {
 
 /// The static layout of one function: entry address, body length, and its
 /// control-flow sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionLayout {
     /// Function id (index into the image's function table).
     pub id: usize,
@@ -85,7 +84,7 @@ impl FunctionLayout {
 
 /// A complete synthetic binary: application functions, interrupt handlers,
 /// the callee-popularity distribution, and transaction scripts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramImage {
     functions: Vec<FunctionLayout>,
     handlers: Vec<FunctionLayout>,
@@ -270,7 +269,7 @@ impl ProgramImage {
 }
 
 /// Structural statistics of a generated program image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallGraphStats {
     /// Number of application functions.
     pub functions: usize,
@@ -289,7 +288,7 @@ pub struct CallGraphStats {
 }
 
 /// Precomputed Zipf cumulative distribution over `n` ranks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ZipfCdf {
     cdf: Vec<f64>,
 }

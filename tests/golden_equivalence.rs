@@ -163,26 +163,3 @@ fn golden_counters_sweep_trace() {
         ],
     );
 }
-
-/// The deprecated slice/streaming wrappers stay equivalent to the
-/// collapsed [`Engine::run`] entry point on golden workloads.
-#[test]
-#[allow(deprecated)]
-fn golden_deprecated_wrappers_match_run() {
-    let trace = WorkloadProfile::oltp_db2().scaled(0.05).generate(60_000);
-    let engine = Engine::new(EngineConfig::paper_default());
-    let direct = engine.run(
-        trace.instrs().iter().copied(),
-        Pif::new(PifConfig::paper_default()),
-        RunOptions::new().warmup(20_000),
-    );
-    let sliced =
-        engine.run_instrs_warmup(trace.instrs(), Pif::new(PifConfig::paper_default()), 20_000);
-    let streamed = engine.run_source_warmup(
-        trace.instrs().iter().copied(),
-        Pif::new(PifConfig::paper_default()),
-        20_000,
-    );
-    assert_eq!(fingerprint(&direct), fingerprint(&sliced));
-    assert_eq!(fingerprint(&direct), fingerprint(&streamed));
-}
