@@ -37,11 +37,29 @@
 //! directory segment invalidates the whole cache when the storage format
 //! itself changes. Corrupt or unreadable entries are treated as misses
 //! and re-simulated.
+//!
+//! # Trace-hash memo
+//!
+//! Keying a synthetic workload's cells needs its trace hash, and the
+//! hash needs the whole generated stream. A [`ResultCache`] therefore
+//! also remembers, in memory and for as long as it lives, the trace hash
+//! of each exact generation input it has seen: the scaled
+//! [`WorkloadProfile`] with all of its parameters, the instruction count
+//! and the execution-seed offset. The generator is a pure function of
+//! that input, so a remembered hash is the hash the stream would give
+//! again; only the regeneration is skipped, and a warm rerun in the same
+//! process generates nothing. Inputs are compared field by field, never
+//! by a digest. The memo holds at most 4096 inputs, dropping the oldest
+//! first. Recorded workloads are never memoized:
+//! their file may change between runs, so they are rehashed every run.
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use pif_trace::hash::fnv1a_64_once;
+use pif_workloads::WorkloadProfile;
 
 use crate::json::{escape, Json};
 use crate::report::Metric;
@@ -50,6 +68,32 @@ use crate::spec::{JobCoord, Measure, SweepSpec};
 
 /// Storage schema identifier; bump to invalidate every existing entry.
 const CELL_SCHEMA: &str = "pif-lab-cell/v1";
+
+/// The most generation inputs one [`ResultCache`]'s trace-hash memo
+/// holds (see the module docs).
+const TRACE_MEMO_CAPACITY: usize = 4096;
+
+/// One generation input of the trace-hash memo and the hash of the
+/// stream it generates.
+#[derive(Debug)]
+struct MemoEntry {
+    profile: WorkloadProfile,
+    instructions: usize,
+    seed_offset: u64,
+    trace_hash: u64,
+}
+
+impl MemoEntry {
+    /// Whether this entry was generated from exactly this input. The
+    /// derived `==` compares every parameter; float parameters compare
+    /// by value, and the generator uses them only in comparisons, sums
+    /// and powers, where `0.0` and `-0.0` behave alike.
+    fn is(&self, profile: &WorkloadProfile, instructions: usize, seed_offset: u64) -> bool {
+        self.instructions == instructions
+            && self.seed_offset == seed_offset
+            && self.profile == *profile
+    }
+}
 
 /// The content address of one cached cell result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,6 +223,8 @@ pub struct ResultCache {
     misses: AtomicU64,
     corrupt: AtomicU64,
     quarantined: AtomicU64,
+    /// Trace hash by exact generation input, oldest first.
+    trace_memo: Mutex<VecDeque<MemoEntry>>,
 }
 
 impl ResultCache {
@@ -200,6 +246,7 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            trace_memo: Mutex::default(),
         })
     }
 
@@ -369,6 +416,62 @@ impl ResultCache {
             corrupt: self.corrupt.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
+    }
+
+    /// The memoized trace hash of `profile` generated for
+    /// `instructions` records at execution-seed offset `seed_offset`, if
+    /// this cache has seen exactly that input.
+    pub fn memoized_trace_hash(
+        &self,
+        profile: &WorkloadProfile,
+        instructions: usize,
+        seed_offset: u64,
+    ) -> Option<u64> {
+        self.memo()
+            .iter()
+            .find(|e| e.is(profile, instructions, seed_offset))
+            .map(|e| e.trace_hash)
+    }
+
+    /// Remembers `trace_hash` for the input, dropping the oldest entry
+    /// when the memo is full.
+    pub(crate) fn memoize_trace_hash(
+        &self,
+        profile: &WorkloadProfile,
+        instructions: usize,
+        seed_offset: u64,
+        trace_hash: u64,
+    ) {
+        let mut memo = self.memo();
+        // A concurrent run may have hashed the same input meanwhile.
+        if memo
+            .iter()
+            .any(|e| e.is(profile, instructions, seed_offset))
+        {
+            return;
+        }
+        if memo.len() == TRACE_MEMO_CAPACITY {
+            memo.pop_front();
+        }
+        memo.push_back(MemoEntry {
+            profile: profile.clone(),
+            instructions,
+            seed_offset,
+            trace_hash,
+        });
+    }
+
+    /// Number of generation inputs in the trace-hash memo.
+    pub fn trace_memo_len(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// The memo, also after a panic elsewhere: every update leaves it
+    /// a valid list of independent entries.
+    fn memo(&self) -> std::sync::MutexGuard<'_, VecDeque<MemoEntry>> {
+        self.trace_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of entries on disk.
@@ -605,6 +708,28 @@ mod tests {
         let moved = key(10, 21);
         std::fs::copy(cache.entry_path(&k1), cache.entry_path(&moved)).unwrap();
         assert!(cache.lookup(&moved).is_none());
+    }
+
+    #[test]
+    fn trace_memo_drops_its_oldest_input_when_full() {
+        let cache = ResultCache::open(tmpdir("memo-cap")).unwrap();
+        let profile = WorkloadProfile::oltp_db2();
+        for n in 0..=TRACE_MEMO_CAPACITY {
+            cache.memoize_trace_hash(&profile, n, 0, n as u64);
+        }
+        // Re-memoizing a held input changes nothing.
+        cache.memoize_trace_hash(&profile, 1, 0, 99);
+        assert_eq!(cache.trace_memo_len(), TRACE_MEMO_CAPACITY);
+        assert_eq!(cache.memoized_trace_hash(&profile, 0, 0), None);
+        assert_eq!(cache.memoized_trace_hash(&profile, 1, 0), Some(1));
+        let last = TRACE_MEMO_CAPACITY;
+        assert_eq!(
+            cache.memoized_trace_hash(&profile, last, 0),
+            Some(last as u64)
+        );
+        assert_eq!(cache.memoized_trace_hash(&profile, last, 1), None);
+        let other = WorkloadProfile::web_apache();
+        assert_eq!(cache.memoized_trace_hash(&other, last, 0), None);
     }
 
     #[test]

@@ -272,39 +272,28 @@ fn run_spec_impl(
     let traces: Vec<std::sync::OnceLock<pif_workloads::Trace>> =
         (0..workloads.len()).map(|_| Default::default()).collect();
 
-    // Per-workload content-hash memo: the trace half of every cache key.
-    // Hashing streams the workload once per (workload, scale, seed) —
-    // far cheaper than simulating, which is the point of the cache.
-    let trace_hashes: Vec<std::sync::OnceLock<u64>> =
-        (0..workloads.len()).map(|_| Default::default()).collect();
-
     // Recorded workloads have no generator: load (or, for the demo
-    // workload, synthesize) every trace up front and seed both memos, so
-    // job execution and cache keying never touch the filesystem and the
-    // report stays a pure function of the trace bytes.
+    // workload, synthesize) every trace up front and seed the memo, so
+    // job execution never touches the filesystem and the report stays a
+    // pure function of the trace bytes.
     if spec.recorded {
         for (i, name) in names.iter().enumerate() {
             let trace = recorded::load(name, scale.instructions)
                 .unwrap_or_else(|e| panic!("spec {}: workload {name:?}: {e}", spec.name));
-            let _ = trace_hashes[i].set(pif_trace::content_hash(trace.instrs().iter().copied()));
             let _ = traces[i].set(trace);
         }
     }
 
+    let pool = Pool::new(opts.threads);
+    // The trace half of every cache key, one per workload; a run without
+    // a cache keys nothing and hashes nothing.
+    let trace_hashes = opts.cache.map_or_else(Vec::new, |cache| {
+        workload_trace_hashes(cache, spec, scale, &workloads, &traces, &pool)
+    });
     let cell_key = |coord: spec::JobCoord| -> CacheKey {
-        let workload = &workloads[coord.workload];
-        let trace_hash = *trace_hashes[coord.workload].get_or_init(|| {
-            let profile = workload
-                .profile
-                .as_ref()
-                .expect("recorded hashes are pre-seeded above");
-            pif_trace::content_hash(
-                profile.stream_with_execution_seed(scale.instructions, spec.seed_offset),
-            )
-        });
         CacheKey {
-            trace_hash,
-            config_fp: cache::cell_fingerprint(spec, scale, &workload.name, coord),
+            trace_hash: trace_hashes[coord.workload],
+            config_fp: cache::cell_fingerprint(spec, scale, &workloads[coord.workload].name, coord),
         }
     };
 
@@ -352,7 +341,7 @@ fn run_spec_impl(
         traces: &traces,
         pool: &inner,
     };
-    let (fresh, pool_stats) = Pool::new(opts.threads).run_indexed_stats(jobs.len(), |i| {
+    let (fresh, pool_stats) = pool.run_indexed_stats(jobs.len(), |i| {
         // Timed only under profiling, and into a sidecar value — timing
         // never reaches the cell or the report.
         let started = want_profile.then(std::time::Instant::now);
@@ -429,6 +418,55 @@ fn run_spec_impl(
         },
         profile,
     )
+}
+
+/// The trace hash of every workload of a run with `cache` attached.
+///
+/// A synthetic workload's hash comes from the cache's trace-hash memo
+/// when the memo holds its exact generation input (see [`cache`]).
+/// Otherwise the workload is generated inline, one pool job per
+/// workload, straight into a [`pif_trace::TraceHasher`], and the hash is
+/// memoized. A recorded workload is rehashed from its loaded trace on
+/// every run and never memoized, since its file may change between runs.
+fn workload_trace_hashes(
+    cache: &ResultCache,
+    spec: &SweepSpec,
+    scale: &Scale,
+    workloads: &[measure::JobWorkload],
+    traces: &[std::sync::OnceLock<pif_workloads::Trace>],
+    pool: &Pool,
+) -> Vec<u64> {
+    let (n, seed) = (scale.instructions, spec.seed_offset);
+    let mut hashes: Vec<Option<u64>> = workloads
+        .iter()
+        .zip(traces)
+        .map(|(w, trace)| match &w.profile {
+            Some(profile) => cache.memoized_trace_hash(profile, n, seed),
+            None => trace
+                .get()
+                .map(|t| pif_trace::content_hash(t.instrs().iter().copied())),
+        })
+        .collect();
+    let cold: Vec<&pif_workloads::WorkloadProfile> = workloads
+        .iter()
+        .zip(&hashes)
+        .filter(|(_, hash)| hash.is_none())
+        .map(|(w, _)| w.profile.as_ref().expect("recorded traces are loaded"))
+        .collect();
+    let fresh = pool.run_indexed(cold.len(), |k| {
+        let mut hasher = pif_trace::TraceHasher::new();
+        cold[k].generate_with_execution_seed_into(n, seed, |instr| hasher.update(&instr));
+        hasher.finish()
+    });
+    let unknown = hashes.iter_mut().filter(|h| h.is_none());
+    for ((slot, profile), hash) in unknown.zip(cold).zip(fresh) {
+        cache.memoize_trace_hash(profile, n, seed, hash);
+        *slot = Some(hash);
+    }
+    hashes
+        .into_iter()
+        .map(|h| h.expect("every workload hashed"))
+        .collect()
 }
 
 /// Charges each of a job's `cells` an equal share of its `total_us`

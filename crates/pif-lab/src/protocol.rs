@@ -36,9 +36,11 @@
 //! `submit` naming an unknown spec additionally carries the registry's
 //! spec names in `"candidates"`, so clients can print the same hint
 //! `piflab run` prints locally. A `submit` whose `scale` no sweep can
-//! run (see [`MAX_WIRE_INSTRUCTIONS`]) gets a `bad_request` error.
+//! run (see [`MAX_WIRE_INSTRUCTIONS`]) gets a `bad_request` error, and
+//! so does a frame longer than [`MAX_FRAME_BYTES`], whose connection the
+//! daemon then closes.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -502,6 +504,11 @@ fn parse_scale(j: &Json) -> Result<Scale, String> {
 /// How often blocked accept/read calls re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
+/// The longest request frame the daemon reads, in bytes before the
+/// newline. A longer frame gets a `bad_request` error frame and its
+/// connection is closed; other connections are unaffected.
+pub const MAX_FRAME_BYTES: usize = 64 * 1024;
+
 /// Serves `piflab/1` on `listener` until `shutdown` becomes true.
 ///
 /// Each connection gets its own scoped thread and is served
@@ -552,31 +559,48 @@ fn serve_connection(
     stream.set_read_timeout(Some(POLL))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        // `read_line` keeps partial data in `line` across timeouts, so a
-        // slow client cannot split a frame.
+        // `read_until` keeps partial data in `frame` across timeouts, so
+        // a slow client cannot split a frame. Reading at most one byte
+        // past the cap bounds the buffer whatever the client sends.
         // Injected socket faults drop the connection (the daemon-side
         // symptom of a flaky network); the client's retry loop owns
         // recovery.
         pif_fail::fail_point!("proto.read.frame", |e: pif_fail::FailError| Err(
             std::io::Error::other(e.to_string())
         ));
-        match reader.read_line(&mut line) {
+        let room = (MAX_FRAME_BYTES + 1 - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => return Ok(()),
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let response = handle_request(&line, service, shutdown);
+                let oversize = frame.last() != Some(&b'\n') && frame.len() > MAX_FRAME_BYTES;
+                let response = if oversize {
+                    bad_request(format!(
+                        "request frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"
+                    ))
+                } else {
+                    match std::str::from_utf8(&frame) {
+                        Ok(line) if line.trim().is_empty() => {
+                            frame.clear();
+                            continue;
+                        }
+                        Ok(line) => handle_request(line, service, shutdown),
+                        Err(e) => bad_request(format!("request frame is not UTF-8: {e}")),
+                    }
+                };
                 let done = matches!(response, Response::ShuttingDown);
                 pif_fail::fail_point!("proto.write.frame", |e: pif_fail::FailError| Err(
                     std::io::Error::other(e.to_string())
                 ));
                 writer.write_all(response.to_line().as_bytes())?;
                 writer.flush()?;
-                line.clear();
+                frame.clear();
+                if oversize {
+                    // The rest of the frame is never read. Send EOF after
+                    // the error frame so the client reads both.
+                    return writer.shutdown(std::net::Shutdown::Write);
+                }
                 if done {
                     return Ok(());
                 }
@@ -594,20 +618,24 @@ fn serve_connection(
     }
 }
 
+/// An untyped-request failure: the frame never parsed far enough to
+/// carry an id.
+fn bad_request(message: String) -> Response {
+    Response::Error {
+        kind: "bad_request".to_string(),
+        retryable: false,
+        request_id: 0,
+        message,
+        candidates: Vec::new(),
+    }
+}
+
 /// Handles one parsed request against the service. Exposed so tests can
 /// drive the dispatch without sockets.
 pub fn handle_request(line: &str, service: &Service, shutdown: &AtomicBool) -> Response {
     let request = match Request::parse(line) {
         Ok(r) => r,
-        Err(message) => {
-            return Response::Error {
-                kind: "bad_request".to_string(),
-                retryable: false,
-                request_id: 0,
-                message,
-                candidates: Vec::new(),
-            }
-        }
+        Err(message) => return bad_request(message),
     };
     match request {
         Request::Ping => Response::Pong,

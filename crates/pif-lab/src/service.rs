@@ -108,7 +108,8 @@ impl Pool {
     /// `f` is called with each job index exactly once. The assignment of
     /// jobs to workers is dynamic (first idle worker takes the next
     /// job), but the returned `Vec` is always
-    /// `[f(0), f(1), …, f(n_jobs - 1)]`.
+    /// `[f(0), f(1), …, f(n_jobs - 1)]`. No more workers start than
+    /// there are jobs, so an empty run starts no thread.
     ///
     /// # Panics
     ///
@@ -134,7 +135,7 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let threads = self.threads.min(n_jobs.max(1));
+        let threads = self.threads.min(n_jobs);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
         // Which worker claimed each job index, for the steal counter.

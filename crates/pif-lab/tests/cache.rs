@@ -8,12 +8,17 @@
 //!    serializes to exactly the bytes of the cold run that populated the
 //!    cache, and of a cache-free run; a partly warm run simulates exactly
 //!    the missing cells, with the same bytes again.
+//! 3. **Hash once per input** — the cache's trace-hash memo gives the
+//!    hash a fresh generation would, keeps one entry per exact
+//!    generation input, and lets a warm rerun generate nothing.
 
 use std::path::PathBuf;
 
 use pif_lab::cache::{cell_fingerprint, config_block_canon};
 use pif_lab::json::fmt_f64;
-use pif_lab::{registry, run_spec_stats, Metric, PrefetcherKind, ResultCache, RunOptions, Scale};
+use pif_lab::{
+    registry, run_spec_stats, Metric, PrefetcherKind, ResultCache, RunOptions, Scale, SweepSpec,
+};
 use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -150,6 +155,133 @@ fn scale_change_misses_the_cache() {
     );
     let (_, third) = run_spec_stats(&spec, &tiny);
     assert_eq!(third.executed_cells, 0, "tiny entries still valid");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trace hashes of every workload of `spec` at `scale`, as the
+/// cache memoized them.
+fn memoized(cache: &ResultCache, spec: &SweepSpec, scale: Scale) -> Vec<u64> {
+    scale
+        .workloads()
+        .iter()
+        .map(|w| {
+            cache
+                .memoized_trace_hash(w, scale.instructions, spec.seed_offset)
+                .unwrap_or_else(|| panic!("{} not memoized", w.name()))
+        })
+        .collect()
+}
+
+/// The memo answers with exactly the hash a fresh generation gives, one
+/// entry per distinct generation input.
+#[test]
+fn memoized_trace_hashes_match_fresh_generation() {
+    let dir = tmpdir("memo");
+    let cache = ResultCache::open(&dir).unwrap();
+    let spec = registry::table1();
+    let tiny = Scale::tiny();
+    run_spec_stats(
+        &spec,
+        &RunOptions::new().scale(tiny).threads(2).cache(&cache),
+    );
+    assert_eq!(cache.trace_memo_len(), 6);
+    let hashes = memoized(&cache, &spec, tiny);
+    for (w, &hash) in tiny.workloads().iter().zip(&hashes) {
+        let fresh = w.generate_with_execution_seed(tiny.instructions, spec.seed_offset);
+        assert_eq!(
+            hash,
+            pif_trace::content_hash(fresh.instrs().iter().copied()),
+            "{}",
+            w.name()
+        );
+    }
+    // The memoized hashes are the trace halves of the stored keys.
+    let mut shards: Vec<u64> = std::fs::read_dir(cache.root())
+        .unwrap()
+        .map(|e| u64::from_str_radix(e.unwrap().file_name().to_str().unwrap(), 16).unwrap())
+        .collect();
+    let mut sorted = hashes.clone();
+    shards.sort_unstable();
+    sorted.sort_unstable();
+    assert_eq!(shards, sorted);
+
+    // Changing only the length, the footprint or the execution seed
+    // changes the input: new entries, and new hashes for every workload.
+    let reseeded = SweepSpec {
+        seed_offset: 1,
+        ..registry::table1()
+    };
+    let variants = [
+        (
+            &spec,
+            Scale {
+                instructions: 20_000,
+                ..tiny
+            },
+        ),
+        (
+            &spec,
+            Scale {
+                footprint: 0.1,
+                ..tiny
+            },
+        ),
+        (&reseeded, tiny),
+    ];
+    let mut all = vec![hashes];
+    for (k, (spec, scale)) in variants.into_iter().enumerate() {
+        run_spec_stats(
+            spec,
+            &RunOptions::new().scale(scale).threads(2).cache(&cache),
+        );
+        assert_eq!(cache.trace_memo_len(), 6 * (k + 2));
+        all.push(memoized(&cache, spec, scale));
+    }
+    for w in 0..6 {
+        let per_input: std::collections::HashSet<u64> = all.iter().map(|h| h[w]).collect();
+        assert_eq!(per_input.len(), all.len(), "workload {w}: {all:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Specs sharing a scale and seed share the memo: after the first run
+/// no later run hashes a synthetic workload again, and a warm rerun
+/// simulates nothing and keeps its bytes. A recorded workload is
+/// rehashed every run and never memoized.
+#[test]
+fn warm_runs_hash_nothing() {
+    let dir = tmpdir("memo-warm");
+    let cache = ResultCache::open(&dir).unwrap();
+    let opts = RunOptions::new()
+        .scale(Scale::tiny())
+        .threads(2)
+        .smoke(true)
+        .cache(&cache);
+    let specs = [registry::fig10(), registry::fig9_history()];
+    let mut cold = Vec::new();
+    for spec in &specs {
+        let (report, stats) = run_spec_stats(spec, &opts);
+        assert_eq!(stats.executed_cells, spec.grid_len());
+        assert_eq!(cache.trace_memo_len(), 6, "{}", spec.name);
+        cold.push(report.to_json().unwrap());
+    }
+    for (spec, cold) in specs.iter().zip(&cold) {
+        let (warm, stats) = run_spec_stats(spec, &opts);
+        assert_eq!(stats.executed_cells, 0, "{}", spec.name);
+        assert_eq!(warm.to_json().unwrap(), *cold, "{}", spec.name);
+        assert_eq!(cache.trace_memo_len(), 6);
+    }
+
+    let recorded = registry::fig_bintrace();
+    let (first, _) = run_spec_stats(&recorded, &opts);
+    let (again, stats) = run_spec_stats(&recorded, &opts);
+    assert_eq!(stats.executed_cells, 0);
+    assert_eq!(again.to_json().unwrap(), first.to_json().unwrap());
+    assert_eq!(
+        cache.trace_memo_len(),
+        6,
+        "recorded traces are not memoized"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,11 +5,12 @@
 //! keeps the library layer honest without spawning processes.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use pif_lab::json::Json;
-use pif_lab::protocol::{serve, Request, Response};
+use pif_lab::protocol::{serve, Request, Response, MAX_FRAME_BYTES};
 use pif_lab::report::validate_report;
 use pif_lab::service::{Service, ServiceConfig};
 use pif_lab::{registry, run_spec, RunOptions, Scale};
@@ -171,6 +172,15 @@ fn malformed_frames_get_errors_not_disconnects() {
                 other => panic!("expected error for {bad:?}, got {other:?}"),
             }
         }
+        // A frame that is not UTF-8 is a bad request, not a dropped
+        // connection.
+        writer.write_all(b"\xff\xfe\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            matches!(Response::parse(&line).unwrap(), Response::Error { kind, .. } if kind == "bad_request"),
+            "{line}"
+        );
         // Still alive afterwards.
         assert_eq!(exchange(&stream, &Request::Ping), Response::Pong);
         assert_eq!(
@@ -180,4 +190,90 @@ fn malformed_frames_get_errors_not_disconnects() {
         server.join().unwrap();
     });
     service.shutdown();
+}
+
+/// A frame longer than `MAX_FRAME_BYTES` gets a typed `bad_request` and
+/// its connection is closed, without the daemon buffering the rest; a
+/// frame of exactly the cap is still served, and so are other
+/// connections.
+#[test]
+fn oversize_frames_close_only_their_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Service::start(ServiceConfig {
+        queue_depth: 2,
+        threads: 1,
+        cache_dir: None,
+        ..ServiceConfig::default()
+    });
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve(listener, &service, &shutdown).unwrap());
+        // Stop the daemon whatever the checks find, so a failed check
+        // fails the test instead of leaving `serve` running forever.
+        let checked = std::panic::catch_unwind(|| check_frame_cap(addr));
+        shutdown.store(true, Ordering::SeqCst);
+        server.join().unwrap();
+        if let Err(panic) = checked {
+            std::panic::resume_unwind(panic);
+        }
+    });
+    service.shutdown();
+}
+
+fn check_frame_cap(addr: SocketAddr) {
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        // A daemon that never answers fails the check, not the suite.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+
+    // A ping padded to exactly the cap is a legal frame.
+    let at_cap = connect();
+    let ping = Request::Ping.to_line();
+    let ping = ping.trim_end();
+    let padded = format!("{ping}{}\n", " ".repeat(MAX_FRAME_BYTES - ping.len()));
+    assert_eq!(padded.len(), MAX_FRAME_BYTES + 1);
+    (&at_cap).write_all(padded.as_bytes()).unwrap();
+    let mut line = String::new();
+    BufReader::new(&at_cap).read_line(&mut line).unwrap();
+    assert_eq!(Response::parse(&line).unwrap(), Response::Pong);
+
+    // 128 KiB with no newline: one error frame, then EOF. The daemon
+    // stops reading at the cap, so the tail of the write may fail.
+    let oversize = connect();
+    let _ = (&oversize).write_all(&vec![b'x'; 128 * 1024]);
+    let mut reader = BufReader::new(&oversize);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::parse(&line).unwrap() {
+        Response::Error {
+            kind,
+            retryable,
+            request_id,
+            message,
+            ..
+        } => {
+            assert_eq!(kind, "bad_request");
+            assert!(!retryable);
+            assert_eq!(request_id, 0);
+            assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "EOF after the error"
+    );
+
+    // The daemon still serves: both a fresh connection and the one that
+    // sent the frame at the cap.
+    assert_eq!(exchange(&connect(), &Request::Ping), Response::Pong);
+    assert_eq!(exchange(&at_cap, &Request::Ping), Response::Pong);
 }
